@@ -38,6 +38,7 @@ from .models import (
     reconstruct,
     reparameterize,
     train_autoencoder,
+    train_autoencoder_budgets,
     train_vae,
     vae_generate,
     vae_loss,

@@ -116,17 +116,17 @@ def _float(cfg, section, key) -> float:
         raise ConfigError(f"[{section}] {key} must be a number") from None
 
 
-def _int_list(text: str, what: str) -> tuple[int, ...]:
+def _number_list(text: str, what: str, kind=int) -> tuple:
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(kind(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise ConfigError(f"{what} must be a comma list of integers") from None
+        raise ConfigError(f"{what} must be a comma list of {kind.__name__} values") from None
 
 
 def _source_from_config(cfg) -> DataSource:
     data = cfg["data"]
     if data["source"] == "synthetic":
-        coeffs = tuple(float(t) for t in data["coeffs"].split(",") if t.strip())
+        coeffs = _number_list(data["coeffs"], "[data] coeffs", float)
         return DataSource(
             kind="synthetic", context=data["context"], n=_int(cfg, "data", "n"), coeffs=coeffs
         )
@@ -149,7 +149,7 @@ def _experiment_from_config(cfg) -> ExperimentConfig:
         task=exp["task"],
         runs=_int(cfg, "experiment", "runs"),
         test_fraction=_float(cfg, "experiment", "test_fraction"),
-        epochs=_int_list(exp["epochs"], "[experiment] epochs"),
+        epochs=_number_list(exp["epochs"], "[experiment] epochs"),
         losses=tuple(t.strip() for t in exp["losses"].split(",") if t.strip()),
         dim_z=_int(cfg, "autoencoder", "dim_z"),
         batch_size=_int(cfg, "autoencoder", "batch_size"),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -223,6 +224,10 @@ class ExperimentConfig:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if not self.epochs or min(self.epochs) < 1:
+            raise ConfigError(f"epochs must list at least one budget, each >= 1, got {self.epochs}")
+        if self.task == "binary" and self.source.kind == "synthetic":
+            raise ConfigError("task binary needs a 0/1 target; synthetic targets are continuous")
         for loss in self.losses:
             parse_loss(loss)  # validates
 
@@ -351,7 +356,7 @@ def _downstream_metrics(
         out[f"acc_{suffix}"] = cls.accuracy
         out[f"auc_{suffix}"] = metrics.rank_auc(truth, scores)
     elif task == "multiclass":
-        classes = np.unique(np.concatenate([y_train, y_test])).astype(int)
+        classes = np.unique(np.concatenate([y_train, y_test]).astype(int))
         scores = np.column_stack(
             [
                 logistic_fit(X_train, (y_train.astype(int) == c).astype(float)).predict_proba(X_test)
@@ -387,18 +392,24 @@ def _run_once(data: Dataset, cfg: ExperimentConfig, run: int) -> tuple[list[Repo
             baseline["silhouette"] = metrics.silhouette(X_train.values, km.labels)
         rows.extend(ReportRow(run, 0, BASELINE, k, v) for k, v in baseline.items())
 
-        model_seed = derive_seed(cfg.seed, run, 1)
-        for epochs in cfg.epochs:
-            for loss_text in cfg.losses:
-                ae_cfg = AutoencoderConfig(
+        snapshots = {
+            loss_text: models.train_autoencoder_budgets(
+                X_train,
+                AutoencoderConfig(
                     dim_z=cfg.dim_z,
-                    epochs=epochs,
+                    epochs=max(cfg.epochs),
                     batch_size=cfg.batch_size,
                     learning_rate=cfg.learning_rate,
                     loss=parse_loss(loss_text),
-                    seed=model_seed,
-                )
-                model = models.train_autoencoder(X_train, ae_cfg)
+                    seed=derive_seed(cfg.seed, run, 1),
+                ),
+                cfg.epochs,
+            )
+            for loss_text in cfg.losses
+        }
+        for epochs in cfg.epochs:
+            for loss_text in cfg.losses:
+                model = snapshots[loss_text][epochs]
                 curves[(run, epochs, loss_text)] = model.curves
 
                 cell: dict[str, float] = {}
@@ -438,31 +449,33 @@ def _run_once(data: Dataset, cfg: ExperimentConfig, run: int) -> tuple[list[Repo
         raise type(e)(f"run {run} (split seed {split_seed}): {e}") from e
 
 
+def _map_runs(run_once, data: Dataset, cfg: ExperimentConfig, jobs: int) -> list:
+    """``run_once(data, cfg, run)`` for every run, in run order, on at most
+    ``min(jobs, runs, cpu count)`` worker processes (none when that is 1)."""
+    n = cfg.runs
+    jobs = min(jobs, n, os.cpu_count() or 1)
+    if jobs <= 1:
+        return [run_once(data, cfg, r) for r in range(n)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(run_once, [data] * n, [cfg] * n, range(n)))
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Split / encode / train each loss arm / score, repeated ``runs`` times.
 
     One failed run aborts the whole experiment with the failing run and
-    seed in the message. With ``jobs > 1`` the runs execute in separate
-    processes; assembly is keyed, so completion order does not matter.
+    seed in the message. Each loss arm trains once, to the largest
+    budget, and is scored at every budget from its snapshot. With
+    ``jobs > 1`` the runs execute in separate processes.
     """
     data = load_source(cfg.source, derive_seed(cfg.seed, 0))
     if _needs_target(cfg.task) and data.y is None:
         raise DataError(f"task {cfg.task!r} needs a target column")
     rows: list[ReportRow] = []
     curves: dict[tuple[int, int, str], LearningCurves] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_run_once, data, cfg, r): r for r in range(cfg.runs)}
-            results = {futures[f]: f.result() for f in futures}
-        for r in range(cfg.runs):
-            got_rows, got_curves = results[r]
-            rows.extend(got_rows)
-            curves.update(got_curves)
-    else:
-        for r in range(cfg.runs):
-            got_rows, got_curves = _run_once(data, cfg, r)
-            rows.extend(got_rows)
-            curves.update(got_curves)
+    for got_rows, got_curves in _map_runs(_run_once, data, cfg, jobs):
+        rows.extend(got_rows)
+        curves.update(got_curves)
     rows.sort(key=lambda r: (r.run, r.epochs, r.loss, r.metric))
     return ExperimentReport(cfg.source.label, rows, curves)
 
@@ -525,15 +538,6 @@ def vae_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     data = load_source(cfg.source, derive_seed(cfg.seed, 0))
     if data.y is None:
         raise DataError("the VAE experiment needs a target column")
-    rows: list[ReportRow] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_vae_run_once, data, cfg, r): r for r in range(cfg.runs)}
-            results = {futures[f]: f.result() for f in futures}
-        for r in range(cfg.runs):
-            rows.extend(results[r])
-    else:
-        for r in range(cfg.runs):
-            rows.extend(_vae_run_once(data, cfg, r))
+    rows = [row for got in _map_runs(_vae_run_once, data, cfg, jobs) for row in got]
     rows.sort(key=lambda r: (r.run, r.epochs, r.loss, r.metric))
     return ExperimentReport(cfg.source.label, rows)

@@ -168,13 +168,30 @@ def train_autoencoder(
     cfg: AutoencoderConfig,
     weights: LossWeights | None = None,
 ) -> TrainedAutoencoder:
-    """Mini-batch Adam on the configured loss with inputs as targets.
+    """Train for ``cfg.epochs``: :func:`train_autoencoder_budgets` with one budget."""
+    return train_autoencoder_budgets(train, cfg, (cfg.epochs,), weights)[cfg.epochs]
+
+
+def train_autoencoder_budgets(
+    train: EncodedMatrix,
+    cfg: AutoencoderConfig,
+    budgets: tuple[int, ...],
+    weights: LossWeights | None = None,
+) -> dict[int, TrainedAutoencoder]:
+    """Mini-batch Adam on the configured loss with inputs as targets, run
+    to ``max(budgets)`` with a snapshot of the model at every budget.
 
     Rows are reshuffled every epoch from the run seed and the final short
     batch is kept, so training is bit-reproducible given (data, config,
-    seed). Per-feature training MSE is recorded at each of the 10
-    checkpoint epochs. A non-finite loss aborts with :class:`NonFinite`.
+    seed) and a shorter budget's training is a prefix of a longer one's:
+    each snapshot equals a separate training at its budget bit for bit.
+    Per-feature training MSE is recorded at each budget's 10 checkpoint
+    epochs. ``cfg.epochs`` is ignored; each snapshot's config carries its
+    budget. A non-finite loss aborts with :class:`NonFinite`.
     """
+    configs = {b: dataclasses.replace(cfg, epochs=b) for b in budgets}
+    if not configs:
+        raise ConfigError("need at least one epochs budget")
     X = train.values
     enc = train.encoder
     weights = _resolve_weights(cfg.loss, enc, weights)
@@ -187,11 +204,14 @@ def train_autoencoder(
     opt_psi = nn.AdamState.for_network(psi)
     shuffle = make_rng(derive_seed(cfg.seed, 1))
 
-    checkpoints = checkpoint_epochs(cfg.epochs)
-    curve_rows = []
+    checkpoints = {b: checkpoint_epochs(b) for b in configs}
+    logged = set().union(*checkpoints.values())
+    errors: dict[int, np.ndarray] = {}
+    snapshots: dict[int, TrainedAutoencoder] = {}
     n = X.shape[0]
+    last = max(configs)
 
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, last + 1):
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             xb = X[order[start : start + cfg.batch_size]]
@@ -207,20 +227,20 @@ def train_autoencoder(
             g_phi = backward(phi, t_phi, g_psi.wrt_input)
             adam_step(opt_phi, phi, g_phi, cfg.learning_rate)
             adam_step(opt_psi, psi, g_psi, cfg.learning_rate)
-        if epoch in checkpoints:
+        if epoch in logged:
             scores = _scores_from_output(
                 forward(psi, forward(phi, X).output).output, cfg.loss, groups
             )
-            err = np.mean((scores - X) ** 2, axis=0)
-            for _ in range(checkpoints.count(epoch)):
-                curve_rows.append(err)
-
-    curves = LearningCurves(
-        checkpoints=np.asarray(checkpoints),
-        feature_names=enc.feature_names(),
-        errors=np.vstack(curve_rows),
-    )
-    return TrainedAutoencoder(phi, psi, enc, weights, cfg, curves)
+            errors[epoch] = np.mean((scores - X) ** 2, axis=0)
+        if epoch in configs:
+            curves = LearningCurves(
+                checkpoints=np.asarray(checkpoints[epoch]),
+                feature_names=enc.feature_names(),
+                errors=np.vstack([errors[e] for e in checkpoints[epoch]]),
+            )
+            nets = (phi, psi) if epoch == last else (phi.copy(), psi.copy())
+            snapshots[epoch] = TrainedAutoencoder(*nets, enc, weights, configs[epoch], curves)
+    return snapshots
 
 
 def reconstruction_scores(model: TrainedAutoencoder, data: Dataset) -> np.ndarray:

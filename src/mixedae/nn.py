@@ -1,10 +1,11 @@
 """Dense feed-forward networks with exact reverse-mode gradients and Adam.
 
-Everything is float64 numpy. A network is a plain list of layers; forward
-returns the full activation trace so backward can run the chain rule
-without recomputation. ``backward`` also returns the gradient with
-respect to the batch input, which is how encoder/decoder stacks and the
-VAE pieces are chained.
+Everything is float64 numpy. A network's layers are views into one
+``params`` vector, so Adam updates it whole. Forward returns the full
+activation trace so backward can run the chain rule without
+recomputation. ``backward`` also returns the gradient with respect to
+the batch input, which is how encoder/decoder stacks and the VAE pieces
+are chained.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,25 @@ class Layer:
 
 @dataclass
 class Network:
+    """Layers packed into one float64 buffer: each ``W``/``b`` is a view of ``params``."""
+
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.params = np.concatenate([np.ravel(a) for l in self.layers for a in (l.W, l.b)],
+                                     dtype=np.float64)
+        views = self.layer_views(self.params)
+        self.layers = [Layer(W, b, l.activation) for (W, b), l in zip(views, self.layers)]
+
+    def layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W, b) views into a buffer laid out like ``params``."""
+        out, off = [], 0
+        for l in self.layers:
+            end = off + l.W.size
+            out.append((flat[off:end].reshape(l.W.shape), flat[end : end + len(l.W)]))
+            off = end + len(l.W)
+        return out
 
     @property
     def in_width(self) -> int:
@@ -48,7 +67,7 @@ class Network:
         return self.layers[-1].W.shape[0]
 
     def copy(self) -> "Network":
-        return Network([Layer(l.W.copy(), l.b.copy(), l.activation) for l in self.layers])
+        return Network(self.layers)
 
 
 @dataclass
@@ -69,6 +88,7 @@ class Gradients:
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     wrt_input: np.ndarray
+    flat: np.ndarray | None = None  # what ``layers`` views, laid out like params
 
 
 def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
@@ -113,22 +133,25 @@ def backward(net: Network, trace: Trace, d_output: np.ndarray) -> Gradients:
         raise ShapeError(
             f"d_output shape {d_output.shape} != output shape {trace.output.shape}"
         )
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)  # type: ignore
+    flat = np.empty_like(net.params)
+    grads = net.layer_views(flat)
     delta = d_output
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         if layer.activation == TANH:
             a = trace.activations[k + 1]
             delta = delta * (1.0 - a * a)
-        grads[k] = (delta.T @ trace.activations[k], delta.sum(axis=0))
+        dW, db = grads[k]
+        np.matmul(delta.T, trace.activations[k], out=dW)
+        np.sum(delta, axis=0, out=db)
         delta = delta @ layer.W
-    return Gradients(grads, delta)
+    return Gradients(grads, delta, flat)
 
 
 @dataclass
 class AdamState:
-    m: list[tuple[np.ndarray, np.ndarray]]
-    v: list[tuple[np.ndarray, np.ndarray]]
+    m: np.ndarray  # moments, laid out like Network.params
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -136,23 +159,25 @@ class AdamState:
 
     @classmethod
     def for_network(cls, net: Network, **kw) -> "AdamState":
-        zeros = lambda l: (np.zeros_like(l.W), np.zeros_like(l.b))
-        return cls(m=[zeros(l) for l in net.layers], v=[zeros(l) for l in net.layers], **kw)
+        return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), **kw)
 
 
 def adam_step(state: AdamState, net: Network, grads: Gradients, lr: float) -> None:
-    """Standard Adam update with bias correction, in place."""
+    """Standard Adam update with bias correction, in place, on the whole
+    parameter vector; elementwise, so it equals a per-layer update bit for bit."""
     state.step += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for layer, (mW, mb), (vW, vb), (gW, gb) in zip(net.layers, state.m, state.v, grads.layers):
-        for p, m, v, g in ((layer.W, mW, vW, gW), (layer.b, mb, vb, gb)):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g = grads.flat
+    if g is None:
+        g = np.concatenate([a.ravel() for pair in grads.layers for a in pair])
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    net.params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +227,6 @@ def read_networks(path: str | Path) -> tuple[list[Network], dict]:
             off += 8 * in_w * out_w
             b = np.frombuffer(raw, dtype="<f8", count=out_w, offset=off)
             off += 8 * out_w
-            layers.append(Layer(W.copy(), b.copy(), _ACT_NAMES[act]))
+            layers.append(Layer(W, b, _ACT_NAMES[act]))  # Network copies them
         nets.append(Network(layers))
     return nets, header

@@ -85,3 +85,26 @@ def brute_silhouette(points, labels):
         )
         scores.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
     return sum(scores) / n
+
+
+class LayerwiseAdam:
+    """Adam with bias correction, applied array by array to each layer's
+    W and b in place: the per-layer loop the flat update must match."""
+
+    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step = 0
+
+    def update(self, arrays, grads, lr):
+        self.step += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1**self.step
+        c2 = 1.0 - b2**self.step
+        for p, m, v, g in zip(arrays, self.m, self.v, grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

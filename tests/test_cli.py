@@ -168,6 +168,22 @@ class TestExperiment:
         report = (tmp_path / "o2" / "report.csv").read_text()
         assert "balanced" in report and ",10," in report
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[experiment]\nepochs =\n",
+            "[experiment]\nepochs = 0\n",
+            "[experiment]\nepochs = -5\n",
+            "[experiment]\ntask = binary\n",
+            "[data]\ncoeffs = 1,a\n",
+        ],
+    )
+    def test_impossible_values_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_loss_flag(self, tiny_experiment_config):
         assert (
             run_cli("experiment", "--config", str(tiny_experiment_config), "--loss", "huh")

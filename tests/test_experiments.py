@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from mixedae import errors
+from mixedae import errors, experiments, tabular
 from mixedae.experiments import (
     BASELINE,
     DataSource,
     ExperimentConfig,
     ExperimentReport,
+    LogisticModel,
     ReportRow,
     kmeans,
     load_report_csv,
@@ -18,7 +19,7 @@ from mixedae.experiments import (
     vae_experiment,
 )
 from mixedae.models import VAEConfig
-from mixedae.rng import make_rng
+from mixedae.rng import derive_seed, make_rng
 
 
 class TestRidge:
@@ -182,6 +183,44 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, jobs=2)
         assert serial.rows == parallel.rows
 
+    def test_duplicate_budgets_repeat_rows(self, tiny_report):
+        rep = run_experiment(tiny_config(epochs=(30, 30)))
+        assert rep.rows == sorted(tiny_report.rows + [r for r in tiny_report.rows if r.epochs == 30],
+                                  key=lambda r: (r.run, r.epochs, r.loss, r.metric))
+
+    def test_empty_or_non_positive_epochs_rejected(self):
+        for epochs in ((), (0,), (100, -5)):
+            with pytest.raises(errors.ConfigError):
+                tiny_config(epochs=epochs)
+
+    @pytest.mark.parametrize(
+        "jobs, runs, cpus, workers",
+        [(8, 3, 16, 3), (8, 5, 2, 2), (2, 5, 4, 2), (4, 1, 4, None), (3, 4, None, None)],
+    )
+    def test_jobs_clamped_to_runs_and_cpus(self, monkeypatch, jobs, runs, cpus, workers):
+        seen = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, runs in-process."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        got = experiments._map_runs(lambda data, cfg, r: r, None, tiny_config(runs=runs), jobs)
+        assert got == list(range(runs))
+        assert seen == ([] if workers is None else [workers])
+
     def test_failed_run_reports_seed(self):
         # n=60 leaves rare categories empty on some split: the error names the run
         cfg = tiny_config(source=DataSource(kind="synthetic", context="imbalanced", n=60))
@@ -234,6 +273,38 @@ class TestTasks:
         rep = run_experiment(cfg)
         acc = rep.values("acc_recon", "standard", 120)
         assert len(acc) == 1 and 0.0 <= acc[0] <= 1.0
+
+
+class TestMulticlassClasses:
+    def test_one_fit_per_integer_class(self, monkeypatch):
+        data = tabular.generate_synthetic("imbalanced", 2000, derive_seed(0, 0))
+        fitted = []
+
+        def fake_fit(X, y):
+            fitted.append(y)
+            return LogisticModel(np.zeros(X.shape[1]), 0.0)
+
+        monkeypatch.setattr(experiments, "logistic_fit", fake_fit)
+        X = np.zeros((data.n, 1))
+        experiments._downstream_metrics("multiclass", X, data.y, X, data.y, "recon")
+        assert len(fitted) == 22
+
+    def test_accuracy_unchanged_from_one_fit_per_distinct_value(self):
+        # the former class list held one entry per distinct target value;
+        # repeated classes got identical fits and argmax took the first
+        rng = make_rng(3)
+        X_train, X_test = rng.random((60, 4)), rng.random((40, 4))
+        levels = np.array([0.0, 0.4, 1.0, 1.7, 2.2, 2.9])
+        y_train, y_test = levels[rng.integers(0, 6, 60)], levels[rng.integers(0, 6, 40)]
+        got = experiments._downstream_metrics("multiclass", X_train, y_train, X_test, y_test, "r")
+        old_classes = np.unique(np.concatenate([y_train, y_test])).astype(int)
+        assert len(old_classes) == 6
+        scores = np.column_stack([
+            logistic_fit(X_train, (y_train.astype(int) == c).astype(float)).predict_proba(X_test)
+            for c in old_classes
+        ])
+        pred = old_classes[scores.argmax(axis=1)]
+        assert got == {"acc_r": float(np.mean(pred == y_test.astype(int)))}
 
 
 class TestVaeExperiment:

@@ -142,6 +142,29 @@ class TestTrainAutoencoder:
         assert model.weights.w_one.shape == (X.width,)
 
 
+class TestTrainAutoencoderBudgets:
+    @pytest.mark.parametrize("loss", ["standard", "balanced", "ce"])
+    def test_snapshots_equal_separate_training(self, synthetic_split, loss):
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        snaps = models.train_autoencoder_budgets(X, AutoencoderConfig(loss=loss, seed=6), (3, 7))
+        assert list(snaps) == [3, 7]
+        for budget, snap in snaps.items():
+            alone = train_autoencoder(X, AutoencoderConfig(epochs=budget, loss=loss, seed=6))
+            assert snap.config == alone.config
+            assert nets_equal(snap.encoder_net, alone.encoder_net)
+            assert nets_equal(snap.decoder_net, alone.decoder_net)
+            assert np.array_equal(snap.curves.checkpoints, alone.curves.checkpoints)
+            assert np.array_equal(snap.curves.errors, alone.curves.errors)
+
+    def test_bad_budgets(self, synthetic_split):
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        for budgets in ((), (5, 0)):
+            with pytest.raises(errors.ConfigError):
+                models.train_autoencoder_budgets(X, AutoencoderConfig(), budgets)
+
+
 @pytest.fixture(scope="module")
 def model(synthetic_split):
     train, _, enc = synthetic_split

@@ -8,6 +8,8 @@ from mixedae.errors import DimensionError, ShapeError
 from mixedae.losses import mse_loss
 from mixedae.rng import make_rng
 
+from oracles import LayerwiseAdam
+
 
 def finite_difference_grads(net, x, target, h=1e-5):
     """Central finite differences of the MSE loss over every parameter."""
@@ -194,6 +196,47 @@ class TestAdam:
             nn.adam_step(state, net, nn.backward(net, trace, dout), lr=0.01)
         tail = np.array(losses[10:])
         assert np.all(np.diff(tail) <= 1e-12)
+
+    @pytest.mark.parametrize("flat_grads", [True, False])
+    def test_flat_update_matches_layerwise_reference(self, flat_grads):
+        # 3-layer net, 50 steps: the one-buffer update equals Adam applied
+        # layer by layer, bit for bit, with backward's flat gradients and
+        # with hand-built per-layer ones
+        rng = make_rng(12)
+        dims, acts = [6, 5, 4, 3], [nn.TANH, nn.TANH, nn.IDENTITY]
+        net = nn.init_network(dims, acts, seed=2)
+        ref = [a.copy() for l in net.layers for a in (l.W, l.b)]
+        state = nn.AdamState.for_network(net)
+        oracle = LayerwiseAdam(ref)
+        for _ in range(50):
+            x, t = rng.random((8, 6)), rng.random((8, 3))
+            ref_net = nn.Network([nn.Layer(W, b, act) for W, b, act in zip(ref[::2], ref[1::2], acts)])
+            trace = nn.forward(ref_net, x)
+            g_ref = nn.backward(ref_net, trace, mse_loss(trace.output, t)[1])
+            oracle.update(ref, [a for pair in g_ref.layers for a in pair], lr=0.01)
+
+            trace = nn.forward(net, x)
+            g = nn.backward(net, trace, mse_loss(trace.output, t)[1])
+            if not flat_grads:
+                g = nn.Gradients([(dW.copy(), db.copy()) for dW, db in g.layers], g.wrt_input)
+            nn.adam_step(state, net, g, lr=0.01)
+            got = [a for l in net.layers for a in (l.W, l.b)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+class TestParameterBuffer:
+    def test_layers_are_views_of_params(self, tmp_path):
+        net = nn.init_network([5, 4, 3, 2], [nn.TANH, nn.TANH, nn.IDENTITY], seed=1)
+        path = tmp_path / "net.ckpt"
+        nn.write_networks(path, [net])
+        (loaded,), _ = nn.read_networks(path)
+        for n in (net, net.copy(), loaded):
+            assert n.params.size == sum(l.W.size + l.b.size for l in n.layers)
+            for layer in n.layers:
+                assert np.shares_memory(layer.W, n.params)
+                assert np.shares_memory(layer.b, n.params)
+            n.params[:] = 0.25
+            assert all(np.all(l.W == 0.25) and np.all(l.b == 0.25) for l in n.layers)
 
 
 class TestCheckpoint:
