@@ -38,8 +38,10 @@ from .models import (
     reconstruct,
     reparameterize,
     train_autoencoder,
+    train_autoencoder_arms,
     train_autoencoder_budgets,
     train_vae,
+    train_vae_arms,
     vae_generate,
     vae_loss,
 )

@@ -226,8 +226,8 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if not self.epochs or min(self.epochs) < 1:
             raise ConfigError(f"epochs must list at least one budget, each >= 1, got {self.epochs}")
-        if self.task == "binary" and self.source.kind == "synthetic":
-            raise ConfigError("task binary needs a 0/1 target; synthetic targets are continuous")
+        if self.task in ("binary", "multiclass") and self.source.kind == "synthetic":
+            raise ConfigError(f"task {self.task} needs class targets; synthetic ones are continuous")
         for loss in self.losses:
             parse_loss(loss)  # validates
 
@@ -392,21 +392,18 @@ def _run_once(data: Dataset, cfg: ExperimentConfig, run: int) -> tuple[list[Repo
             baseline["silhouette"] = metrics.silhouette(X_train.values, km.labels)
         rows.extend(ReportRow(run, 0, BASELINE, k, v) for k, v in baseline.items())
 
-        snapshots = {
-            loss_text: models.train_autoencoder_budgets(
-                X_train,
-                AutoencoderConfig(
-                    dim_z=cfg.dim_z,
-                    epochs=max(cfg.epochs),
-                    batch_size=cfg.batch_size,
-                    learning_rate=cfg.learning_rate,
-                    loss=parse_loss(loss_text),
-                    seed=derive_seed(cfg.seed, run, 1),
-                ),
-                cfg.epochs,
-            )
-            for loss_text in cfg.losses
-        }
+        snapshots = dict(zip(cfg.losses, models.train_autoencoder_arms(
+            X_train,
+            AutoencoderConfig(
+                dim_z=cfg.dim_z,
+                epochs=max(cfg.epochs),
+                batch_size=cfg.batch_size,
+                learning_rate=cfg.learning_rate,
+                seed=derive_seed(cfg.seed, run, 1),
+            ),
+            cfg.losses,
+            cfg.epochs,
+        )))
         for epochs in cfg.epochs:
             for loss_text in cfg.losses:
                 model = snapshots[loss_text][epochs]
@@ -494,6 +491,10 @@ def _vae_run_once(data: Dataset, cfg: ExperimentConfig, run: int) -> list[Report
         X_test = encode(test, enc)
         rows: list[ReportRow] = []
 
+        # Training first lets the proxies reuse the memory its steps freed.
+        vae_cfg = replace(vae_base, seed=derive_seed(cfg.seed, run, 1))
+        trained = models.train_vae_arms(X_train, train.y, vae_cfg, cfg.losses)
+
         baseline: dict[str, float] = {}
         if _needs_target(cfg.task):
             baseline.update(
@@ -501,12 +502,7 @@ def _vae_run_once(data: Dataset, cfg: ExperimentConfig, run: int) -> list[Report
             )
         rows.extend(ReportRow(run, 0, BASELINE, k, v) for k, v in baseline.items())
 
-        for loss_text in cfg.losses:
-            vae_cfg = replace(
-                vae_base, loss=parse_loss(loss_text), seed=derive_seed(cfg.seed, run, 1)
-            )
-            model = models.train_vae(X_train, train.y, vae_cfg)
-
+        for loss_text, model in zip(cfg.losses, trained):
             cell: dict[str, float] = {}
             recon_test = models.vae_reconstruct(model, test)
             cell["msem"] = metrics.msem(test, recon_test, enc)

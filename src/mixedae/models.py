@@ -142,12 +142,15 @@ def _loss_fn(spec: LossSpec, weights: LossWeights | None, groups):
     return lambda p, t: cross_entropy_loss(p, t, groups)
 
 
-def _resolve_weights(
-    spec: LossSpec, enc: EncoderState, weights: LossWeights | None
-) -> LossWeights | None:
-    if not spec.needs_weights:
-        return None
-    return weights if weights is not None else compute_balance_weights(enc)
+def _arms(cfg, losses, enc: EncoderState, weights: LossWeights | None) -> tuple[list, list]:
+    """Per loss: ``cfg`` with that loss, and the loss weights (``weights`` or
+    the encoder's balance weights, computed once) if the loss needs them."""
+    if not losses:
+        raise ConfigError("need at least one loss")
+    arms = [dataclasses.replace(cfg, loss=loss) for loss in losses]
+    if weights is None and any(a.loss.needs_weights for a in arms):
+        weights = compute_balance_weights(enc)
+    return arms, [weights if a.loss.needs_weights else None for a in arms]
 
 
 def _scores_from_output(output: np.ndarray, spec: LossSpec, groups) -> np.ndarray:
@@ -178,68 +181,84 @@ def train_autoencoder_budgets(
     budgets: tuple[int, ...],
     weights: LossWeights | None = None,
 ) -> dict[int, TrainedAutoencoder]:
-    """Mini-batch Adam on the configured loss with inputs as targets, run
-    to ``max(budgets)`` with a snapshot of the model at every budget.
+    """:func:`train_autoencoder_arms` with the one arm ``cfg.loss``."""
+    return train_autoencoder_arms(train, cfg, (cfg.loss,), budgets, weights)[0]
+
+
+def train_autoencoder_arms(
+    train: EncodedMatrix,
+    cfg: AutoencoderConfig,
+    losses: tuple[LossSpec | str, ...],
+    budgets: tuple[int, ...],
+    weights: LossWeights | None = None,
+) -> list[dict[int, TrainedAutoencoder]]:
+    """Mini-batch Adam with inputs as targets, one arm per loss, run to
+    ``max(budgets)`` with a snapshot of every arm at every budget.
 
     Rows are reshuffled every epoch from the run seed and the final short
     batch is kept, so training is bit-reproducible given (data, config,
     seed) and a shorter budget's training is a prefix of a longer one's:
     each snapshot equals a separate training at its budget bit for bit.
+    The arms share init and shuffles, so they train in lockstep as one
+    stacked network (phi's layers, then psi's), each bit for bit as alone.
     Per-feature training MSE is recorded at each budget's 10 checkpoint
-    epochs. ``cfg.epochs`` is ignored; each snapshot's config carries its
-    budget. A non-finite loss aborts with :class:`NonFinite`.
+    epochs; each snapshot's config carries its loss and budget. A
+    non-finite loss aborts with :class:`NonFinite`.
     """
-    configs = {b: dataclasses.replace(cfg, epochs=b) for b in budgets}
-    if not configs:
-        raise ConfigError("need at least one epochs budget")
+    if not budgets or min(budgets) < 1:
+        raise ConfigError(f"epochs budgets must be >= 1, got {budgets}")
     X = train.values
     enc = train.encoder
-    weights = _resolve_weights(cfg.loss, enc, weights)
+    arms, weights = _arms(cfg, losses, enc, weights)
     groups = enc.categorical_groups()
-    loss_fn = _loss_fn(cfg.loss, weights, groups)
-    use_adapter = cfg.loss.kind != "ce"
+    loss_fns = [_loss_fn(a.loss, w, groups) for a, w in zip(arms, weights)]
 
     phi, psi = build_autoencoder(train.width, cfg.dim_z, derive_seed(cfg.seed, 0))
-    opt_phi = nn.AdamState.for_network(phi)
-    opt_psi = nn.AdamState.for_network(psi)
+    net = Network.stack([Network(phi.layers + psi.layers)] * len(arms))
+    opt = nn.AdamState.for_network(net)
     shuffle = make_rng(derive_seed(cfg.seed, 1))
 
-    checkpoints = {b: checkpoint_epochs(b) for b in configs}
-    logged = set().union(*checkpoints.values())
-    errors: dict[int, np.ndarray] = {}
-    snapshots: dict[int, TrainedAutoencoder] = {}
-    n = X.shape[0]
-    last = max(configs)
+    def halves(i: int) -> tuple[Network, Network]:
+        layers = net.arm(i).layers
+        return Network(layers[: len(phi.layers)]), Network(layers[len(phi.layers) :])
 
-    for epoch in range(1, last + 1):
+    checkpoints = {b: checkpoint_epochs(b) for b in budgets}
+    logged = set().union(*checkpoints.values())
+    errors: list[dict[int, np.ndarray]] = [{} for _ in arms]
+    snapshots: list[dict[int, TrainedAutoencoder]] = [{} for _ in arms]
+    n = X.shape[0]
+
+    for epoch in range(1, max(budgets) + 1):
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             xb = X[order[start : start + cfg.batch_size]]
-            t_phi = forward(phi, xb)
-            t_psi = forward(psi, t_phi.output)
-            out = t_psi.output
-            pred = (out - OUT_LOW) / _SPAN if use_adapter else out
-            value, d_pred = loss_fn(pred, xb)
-            if not np.isfinite(value):
-                raise NonFinite(f"loss became non-finite at epoch {epoch}")
-            d_out = d_pred / _SPAN if use_adapter else d_pred
-            g_psi = backward(psi, t_psi, d_out)
-            g_phi = backward(phi, t_phi, g_psi.wrt_input)
-            adam_step(opt_phi, phi, g_phi, cfg.learning_rate)
-            adam_step(opt_psi, psi, g_psi, cfg.learning_rate)
+            trace = forward(net, xb)
+            out = trace.output
+            d_out = np.empty_like(out)
+            for i, (arm, loss_fn) in enumerate(zip(arms, loss_fns)):
+                adapter = arm.loss.kind != "ce"
+                value, d_pred = loss_fn((out[i] - OUT_LOW) / _SPAN if adapter else out[i], xb)
+                d_out[i] = d_pred / _SPAN if adapter else d_pred
+                if not np.isfinite(value):
+                    raise NonFinite(f"{arm.loss.label} loss became non-finite at epoch {epoch}")
+            adam_step(opt, net, backward(net, trace, d_out, need_input=False), cfg.learning_rate)
         if epoch in logged:
-            scores = _scores_from_output(
-                forward(psi, forward(phi, X).output).output, cfg.loss, groups
-            )
-            errors[epoch] = np.mean((scores - X) ** 2, axis=0)
-        if epoch in configs:
-            curves = LearningCurves(
-                checkpoints=np.asarray(checkpoints[epoch]),
-                feature_names=enc.feature_names(),
-                errors=np.vstack([errors[e] for e in checkpoints[epoch]]),
-            )
-            nets = (phi, psi) if epoch == last else (phi.copy(), psi.copy())
-            snapshots[epoch] = TrainedAutoencoder(*nets, enc, weights, configs[epoch], curves)
+            for i, arm in enumerate(arms):
+                phi_i, psi_i = halves(i)
+                scores = _scores_from_output(
+                    forward(psi_i, forward(phi_i, X).output).output, arm.loss, groups
+                )
+                errors[i][epoch] = np.mean((scores - X) ** 2, axis=0)
+        if epoch in checkpoints:
+            for i, arm in enumerate(arms):
+                curves = LearningCurves(
+                    checkpoints=np.asarray(checkpoints[epoch]),
+                    feature_names=enc.feature_names(),
+                    errors=np.vstack([errors[i][e] for e in checkpoints[epoch]]),
+                )
+                snapshots[i][epoch] = TrainedAutoencoder(
+                    *halves(i), enc, weights[i], dataclasses.replace(arm, epochs=epoch), curves
+                )
     return snapshots
 
 
@@ -364,12 +383,7 @@ def vae_loss(
     if mu.shape != logvar.shape:
         raise ShapeError("mu and logvar must share a shape")
     width = x_pred.shape[1]
-    if loss.kind == "standard":
-        vx, gx = mse_loss(x_pred, x_true)
-    elif loss.kind == "balanced":
-        vx, gx = balanced_mse_loss(x_pred, x_true, weights)
-    else:
-        vx, gx = blended_loss(loss.alpha, x_pred, x_true, weights)
+    vx, gx = _loss_fn(loss, weights, None)(x_pred, x_true)
     vx, gx = vx * width, gx * width
     vy, gy = mse_loss(y_pred, y_true)
     B = mu.shape[0]
@@ -386,11 +400,24 @@ def train_vae(
     cfg: VAEConfig,
     weights: LossWeights | None = None,
 ) -> TrainedVAE:
-    """Mini-batch Adam over the VAE objective with seeded noise.
+    """:func:`train_vae_arms` with the one arm ``cfg.loss``."""
+    return train_vae_arms(train, y, cfg, (cfg.loss,), weights)[0]
+
+
+def train_vae_arms(
+    train: EncodedMatrix,
+    y: np.ndarray,
+    cfg: VAEConfig,
+    losses: tuple[LossSpec | str, ...],
+    weights: LossWeights | None = None,
+) -> list[TrainedVAE]:
+    """Mini-batch Adam over the VAE objective with seeded noise, one arm per loss.
 
     The target is min-max scaled to [0, 1] from the training split so the
     target head's MSE is on the same footing as the feature block; the
-    inverse map is applied when generating.
+    inverse map is applied when generating. The arms share init, shuffles
+    and noise, so they train in lockstep on stacked networks, each bit for
+    bit as alone.
     """
     X = train.values
     enc = train.encoder
@@ -402,19 +429,20 @@ def train_vae(
         raise ConstantNumeric("target column is constant")
     ys = ((y - y_lo) / (y_hi - y_lo))[:, None]
 
-    weights = _resolve_weights(cfg.loss, enc, weights)
-    nets = build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
+    arms, weights = _arms(cfg, losses, enc, weights)
+    base = build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
+    nets = VAENets(*(Network.stack([net] * len(arms)) for net in base.all()))
     opts = [nn.AdamState.for_network(net) for net in nets.all()]
     shuffle = make_rng(derive_seed(cfg.seed, 1))
     noise_rng = make_rng(derive_seed(cfg.seed, 2))
 
     checkpoints = checkpoint_epochs(cfg.epochs)
-    history = []
+    history: list[list[tuple[int, float]]] = [[] for _ in arms]
     n = X.shape[0]
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle.permutation(n)
-        last_value = np.nan
+        last_values = [np.nan] * len(arms)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = X[idx], ys[idx]
@@ -422,36 +450,48 @@ def train_vae(
             t_mu = forward(nets.hl21, t1.output)
             t_lv = forward(nets.hl22, t1.output)
             mu, logvar = t_mu.output, t_lv.output
-            eps = gaussian(noise_rng, mu.shape)
-            z = reparameterize(mu, logvar, eps)
+            eps = gaussian(noise_rng, mu.shape[1:])
+            z = reparameterize(mu, logvar, np.broadcast_to(eps, mu.shape))
             t3 = forward(nets.hl3, z)
             t_x = forward(nets.hl41, t3.output)
             t_y = forward(nets.hl42, t3.output)
 
-            value, (gx, gy, g_mu_kl, g_lv_kl) = vae_loss(
-                t_x.output, xb, t_y.output, yb, mu, logvar, weights, cfg.loss
-            )
-            if not np.isfinite(value):
-                raise NonFinite(f"VAE loss became non-finite at epoch {epoch}")
-            last_value = value
+            # The heads are linear, so backward never reads their outputs:
+            # each arm's gradients overwrite its slice once its loss is taken.
+            gx, gy, g_mu_kl, g_lv_kl = grads = [
+                t_x.output, t_y.output, np.empty_like(mu), np.empty_like(logvar)
+            ]
+            for i, (arm, w) in enumerate(zip(arms, weights)):
+                last_values[i], arm_grads = vae_loss(
+                    t_x.output[i], xb, t_y.output[i], yb, mu[i], logvar[i], w, arm.loss
+                )
+                if not np.isfinite(last_values[i]):
+                    raise NonFinite(f"{arm.loss.label} VAE loss non-finite at epoch {epoch}")
+                for buf, g in zip(grads, arm_grads):
+                    buf[i] = g
 
             g41 = backward(nets.hl41, t_x, gx)
             g42 = backward(nets.hl42, t_y, gy)
+            del t_x, gx, grads  # frees the (M, B, p) head buffer before the next step
             g3 = backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input)
             dz = g3.wrt_input
             d_mu = dz + g_mu_kl
             d_lv = dz * eps * 0.5 * np.exp(0.5 * logvar) + g_lv_kl
             g21 = backward(nets.hl21, t_mu, d_mu)
             g22 = backward(nets.hl22, t_lv, d_lv)
-            g1 = backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input)
+            g1 = backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input, need_input=False)
 
             for net, opt, g in zip(nets.all(), opts, [g1, g21, g22, g3, g41, g42]):
                 adam_step(opt, net, g, cfg.learning_rate)
         if epoch in checkpoints:
-            for _ in range(checkpoints.count(epoch)):
-                history.append((epoch, last_value))
+            for h, value in zip(history, last_values):
+                h.extend([(epoch, value)] * checkpoints.count(epoch))
 
-    return TrainedVAE(nets, enc, weights, cfg, (y_lo, y_hi), np.asarray(history))
+    return [
+        TrainedVAE(VAENets(*(net.arm(i) for net in nets.all())), enc, weights[i], arm,
+                   (y_lo, y_hi), np.asarray(history[i]))
+        for i, arm in enumerate(arms)
+    ]
 
 
 def vae_reconstruction_scores(model: TrainedVAE, data: Dataset) -> np.ndarray:
@@ -544,7 +584,7 @@ def load_autoencoder(path: str | Path) -> TrainedAutoencoder:
         loss=parse_loss(c["loss"]),
         seed=c["seed"],
     )
-    weights = _resolve_weights(cfg.loss, state, None)
+    weights = compute_balance_weights(state) if cfg.loss.needs_weights else None
     return TrainedAutoencoder(nets[0], nets[1], state, weights, cfg, curves=None)
 
 

@@ -4,8 +4,9 @@ Everything is float64 numpy. A network's layers are views into one
 ``params`` vector, so Adam updates it whole. Forward returns the full
 activation trace so backward can run the chain rule without
 recomputation. ``backward`` also returns the gradient with respect to
-the batch input, which is how encoder/decoder stacks and the VAE pieces
-are chained.
+the batch input, which is how the VAE pieces are chained. A stacked
+network (:meth:`Network.stack`) holds M networks of one shape along a
+leading axis, and one call serves all M, each bit for bit as alone.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ _MAGIC = b"MAEN1\n"
 
 @dataclass
 class Layer:
-    W: np.ndarray  # out x in
-    b: np.ndarray  # out
+    W: np.ndarray  # out x in, or arms x out x in when stacked
+    b: np.ndarray  # out, or arms x out
     activation: str
 
 
@@ -44,27 +45,44 @@ class Network:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.params = np.concatenate([np.ravel(a) for l in self.layers for a in (l.W, l.b)],
-                                     dtype=np.float64)
+        lead = np.shape(self.layers[0].b)[:-1]  # (M,) when stacked
+        self.params = np.concatenate([np.reshape(a, (*lead, -1)) for l in self.layers
+                                      for a in (l.W, l.b)], axis=-1, dtype=np.float64)
         views = self.layer_views(self.params)
         self.layers = [Layer(W, b, l.activation) for (W, b), l in zip(views, self.layers)]
+
+    @classmethod
+    def stack(cls, nets: list["Network"]) -> "Network":
+        """One network whose ``params`` is (M, n): arm i is a copy of ``nets[i]``."""
+        shapes = [[(l.W.shape, l.activation) for l in net.layers] for net in nets]
+        if any(s != shapes[0] for s in shapes):
+            raise DimensionError("stacked networks need equal layer shapes and activations")
+        return cls([Layer(np.stack([n.layers[k].W for n in nets]),
+                          np.stack([n.layers[k].b for n in nets]), l.activation)
+                    for k, l in enumerate(nets[0].layers)])
+
+    def arm(self, i: int) -> "Network":
+        """Arm ``i`` of a stacked network, as an independent plain network."""
+        return Network([Layer(l.W[i], l.b[i], l.activation) for l in self.layers])
 
     def layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W, b) views into a buffer laid out like ``params``."""
         out, off = [], 0
         for l in self.layers:
-            end = off + l.W.size
-            out.append((flat[off:end].reshape(l.W.shape), flat[end : end + len(l.W)]))
-            off = end + len(l.W)
+            rows, cols = l.W.shape[-2:]
+            end = off + rows * cols
+            out.append((flat[..., off:end].reshape(*flat.shape[:-1], rows, cols),
+                        flat[..., end : end + rows]))
+            off = end + rows
         return out
 
     @property
     def in_width(self) -> int:
-        return self.layers[0].W.shape[1]
+        return self.layers[0].W.shape[-1]
 
     @property
     def out_width(self) -> int:
-        return self.layers[-1].W.shape[0]
+        return self.layers[-1].W.shape[-2]
 
     def copy(self) -> "Network":
         return Network(self.layers)
@@ -72,10 +90,9 @@ class Network:
 
 @dataclass
 class Trace:
-    """Forward pass record: activations a_0..a_L and pre-activations z_1..z_L."""
+    """Forward pass record: activations a_0 (the batch) .. a_L."""
 
     activations: list[np.ndarray]
-    pre: list[np.ndarray]
 
     @property
     def output(self) -> np.ndarray:
@@ -87,7 +104,7 @@ class Gradients:
     """(dW, db) per layer plus the gradient w.r.t. the batch input."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
-    wrt_input: np.ndarray
+    wrt_input: np.ndarray | None  # None when backward skipped it
     flat: np.ndarray | None = None  # what ``layers`` views, laid out like params
 
 
@@ -112,22 +129,25 @@ def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
 
 
 def forward(net: Network, batch: np.ndarray) -> Trace:
+    """B x in batch, or M x B x in (one per arm) for a stacked network. W is
+    read as a transposed view, so BLAS runs each arm's plain-network kernel."""
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != net.in_width:
+    if batch.ndim < 2 or batch.shape[:-2] not in ((), net.params.shape[:-1]) \
+            or batch.shape[-1] != net.in_width:
         raise ShapeError(f"expected B x {net.in_width} batch, got {batch.shape}")
     activations = [batch]
-    pre = []
-    a = batch
     for layer in net.layers:
-        z = a @ layer.W.T + layer.b
-        a = np.tanh(z) if layer.activation == TANH else z
-        pre.append(z)
+        a = np.matmul(activations[-1], np.swapaxes(layer.W, -1, -2))
+        a += layer.b[..., None, :]
+        if layer.activation == TANH:
+            np.tanh(a, out=a)
         activations.append(a)
-    return Trace(activations, pre)
+    return Trace(activations)
 
 
-def backward(net: Network, trace: Trace, d_output: np.ndarray) -> Gradients:
-    """Exact gradients of the scalar loss whose output-gradient is supplied."""
+def backward(net: Network, trace: Trace, d_output: np.ndarray, need_input: bool = True) -> Gradients:
+    """Exact gradients of the scalar loss whose output-gradient is supplied;
+    ``need_input=False`` skips the input gradient (``wrt_input`` is None)."""
     d_output = np.asarray(d_output, dtype=np.float64)
     if d_output.shape != trace.output.shape:
         raise ShapeError(
@@ -139,13 +159,15 @@ def backward(net: Network, trace: Trace, d_output: np.ndarray) -> Gradients:
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         if layer.activation == TANH:
-            a = trace.activations[k + 1]
-            delta = delta * (1.0 - a * a)
+            d = np.square(trace.activations[k + 1])
+            np.subtract(1.0, d, out=d)
+            delta = np.multiply(d, delta, out=d)
         dW, db = grads[k]
-        np.matmul(delta.T, trace.activations[k], out=dW)
-        np.sum(delta, axis=0, out=db)
-        delta = delta @ layer.W
-    return Gradients(grads, delta, flat)
+        np.matmul(np.swapaxes(delta, -1, -2), trace.activations[k], out=dW)
+        np.sum(delta, axis=-2, out=db)
+        if k or need_input:
+            delta = np.matmul(delta, layer.W)
+    return Gradients(grads, delta if need_input else None, flat)
 
 
 @dataclass
@@ -164,7 +186,8 @@ class AdamState:
 
 def adam_step(state: AdamState, net: Network, grads: Gradients, lr: float) -> None:
     """Standard Adam update with bias correction, in place, on the whole
-    parameter vector; elementwise, so it equals a per-layer update bit for bit."""
+    parameter vector; elementwise, so it equals a per-layer update bit for bit.
+    Two scratch buffers replace the temporaries, with each operation unchanged."""
     state.step += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1**state.step
@@ -172,12 +195,15 @@ def adam_step(state: AdamState, net: Network, grads: Gradients, lr: float) -> No
     g = grads.flat
     if g is None:
         g = np.concatenate([a.ravel() for pair in grads.layers for a in pair])
-    m, v = state.m, state.v
+    m, v, s = state.m, state.v, np.empty_like(state.m)
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=s)
     v *= b2
-    v += (1.0 - b2) * (g * g)
-    net.params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    v += np.multiply(np.multiply(g, g, out=s), 1.0 - b2, out=s)
+    t = np.divide(m, c1)
+    t *= lr
+    t /= np.add(np.sqrt(np.divide(v, c2, out=s), out=s), eps, out=s)
+    net.params -= t
 
 
 # ----------------------------------------------------------------------
@@ -205,28 +231,38 @@ def write_networks(path: str | Path, nets: list[Network], header: dict | None = 
 
 
 def read_networks(path: str | Path) -> tuple[list[Network], dict]:
+    """Inverse of :func:`write_networks`; any malformed file raises :class:`ShapeError`."""
     raw = Path(path).read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ShapeError(f"{path}: not a network checkpoint")
-    off = len(_MAGIC)
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = json.loads(raw[off : off + hlen].decode())
-    off += hlen
-    (n_nets,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    nets = []
-    for _ in range(n_nets):
-        (n_layers,) = struct.unpack_from("<I", raw, off)
+    try:
+        off = len(_MAGIC)
+        (hlen,) = struct.unpack_from("<I", raw, off)
         off += 4
-        layers = []
-        for _ in range(n_layers):
-            in_w, out_w, act = struct.unpack_from("<IIB", raw, off)
-            off += 9
-            W = np.frombuffer(raw, dtype="<f8", count=in_w * out_w, offset=off).reshape(out_w, in_w)
-            off += 8 * in_w * out_w
-            b = np.frombuffer(raw, dtype="<f8", count=out_w, offset=off)
-            off += 8 * out_w
-            layers.append(Layer(W, b, _ACT_NAMES[act]))  # Network copies them
-        nets.append(Network(layers))
+        header = json.loads(raw[off : off + hlen].decode())
+        if not isinstance(header, dict):
+            raise ValueError("the header is not a JSON object")
+        off += hlen
+        (n_nets,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        nets = []
+        for _ in range(n_nets):
+            (n_layers,) = struct.unpack_from("<I", raw, off)
+            off += 4
+            layers = []
+            for _ in range(n_layers):
+                in_w, out_w, act = struct.unpack_from("<IIB", raw, off)
+                off += 9
+                if min(in_w, out_w) < 1 or layers and layers[-1].W.shape[0] != in_w:
+                    raise ValueError(f"layer widths {in_w} -> {out_w} do not chain")
+                W = np.frombuffer(raw, dtype="<f8", count=in_w * out_w, offset=off)
+                off += 8 * in_w * out_w
+                b = np.frombuffer(raw, dtype="<f8", count=out_w, offset=off)
+                off += 8 * out_w
+                layers.append(Layer(W.reshape(out_w, in_w), b, _ACT_NAMES[act]))  # Network copies them
+            nets.append(Network(layers))
+        if off != len(raw):
+            raise ValueError(f"{len(raw) - off} trailing bytes")
+    except (ValueError, KeyError, IndexError, struct.error) as e:
+        raise ShapeError(f"{path}: malformed network checkpoint: {e}") from None
     return nets, header

@@ -380,7 +380,7 @@ def read_csv(
         if target not in raw:
             raise DataError(f"{path}: target column {target!r} not found")
         y_cells = raw.pop(target)
-        y = np.array([_coerce_number(c, target) for c in y_cells])
+        y = np.array([_coerce_number(c, target, i + 2) for i, c in enumerate(y_cells)])
         header = [h for h in header if h != target]
 
     if schema is None:
@@ -405,14 +405,16 @@ def read_csv(
                 codes[i] = index[cell]
             cols[c.name] = codes
         else:
-            cols[c.name] = np.array([_coerce_number(cell, c.name) for cell in cells])
+            cols[c.name] = np.array(
+                [_coerce_number(cell, c.name, i + 2) for i, cell in enumerate(cells)]
+            )
     return Dataset(schema, cols, y=y, target_name=target or "y")
 
 
-def _coerce_number(cell: str, name: str) -> float:
+def _coerce_number(cell: str, name: str, row: int) -> float:
     v = _parse_float(cell)
-    if v is None:
-        raise DataError(f"column {name!r}: cell {cell!r} is not numeric")
+    if v is None or not np.isfinite(v):
+        raise DataError(f"column {name!r}, row {row}: cell {cell!r} is not a finite number")
     return v
 
 

@@ -87,6 +87,23 @@ def brute_silhouette(points, labels):
     return sum(scores) / n
 
 
+def reference_forward_backward(layers, x, d_out):
+    """Forward and backward pass of (W, b, activation) layers written with
+    fresh temporaries per operation: (outputs, [(dW, db)], input gradient)."""
+    acts = [x]
+    for W, b, act in layers:
+        z = acts[-1] @ W.T + b
+        acts.append(np.tanh(z) if act == "tanh" else z)
+    grads, delta = [], d_out
+    for k in range(len(layers) - 1, -1, -1):
+        W, _, act = layers[k]
+        if act == "tanh":
+            delta = delta * (1.0 - acts[k + 1] * acts[k + 1])
+        grads.insert(0, (delta.T @ acts[k], delta.sum(axis=0)))
+        delta = delta @ W
+    return acts[1:], grads, delta
+
+
 class LayerwiseAdam:
     """Adam with bias correction, applied array by array to each layer's
     W and b in place: the per-layer loop the flat update must match."""
@@ -108,3 +125,110 @@ class LayerwiseAdam:
             v *= b2
             v += (1.0 - b2) * (g * g)
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+# ----------------------------------------------------------------------
+# Per-arm training loops: one network pair (AE) or one set of six
+# networks (VAE) per loss, trained on its own. The lockstep training of
+# stacked arms must match these bit for bit.
+# ----------------------------------------------------------------------
+
+def chained_autoencoder_budgets(train, cfg, budgets, weights=None):
+    """Train phi and psi as two chained networks, one loss, snapshots at budgets.
+
+    Returns {budget: (phi, psi, curve errors)}.
+    """
+    from mixedae import models, nn
+    from mixedae.losses import compute_balance_weights
+    from mixedae.rng import derive_seed, make_rng
+
+    X, enc = train.values, train.encoder
+    if cfg.loss.needs_weights and weights is None:
+        weights = compute_balance_weights(enc)
+    groups = enc.categorical_groups()
+    loss_fn = models._loss_fn(cfg.loss, weights, groups)
+    use_adapter = cfg.loss.kind != "ce"
+    span = models.OUT_HIGH - models.OUT_LOW
+
+    phi, psi = models.build_autoencoder(train.width, cfg.dim_z, derive_seed(cfg.seed, 0))
+    opt_phi, opt_psi = nn.AdamState.for_network(phi), nn.AdamState.for_network(psi)
+    shuffle = make_rng(derive_seed(cfg.seed, 1))
+    checkpoints = {b: models.checkpoint_epochs(b) for b in budgets}
+    logged = set().union(*checkpoints.values())
+    errors, out = {}, {}
+    n = X.shape[0]
+    for epoch in range(1, max(budgets) + 1):
+        order = shuffle.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            xb = X[order[start : start + cfg.batch_size]]
+            t_phi = nn.forward(phi, xb)
+            t_psi = nn.forward(psi, t_phi.output)
+            o = t_psi.output
+            pred = (o - models.OUT_LOW) / span if use_adapter else o
+            _, d_pred = loss_fn(pred, xb)
+            d_out = d_pred / span if use_adapter else d_pred
+            g_psi = nn.backward(psi, t_psi, d_out)
+            g_phi = nn.backward(phi, t_phi, g_psi.wrt_input)
+            nn.adam_step(opt_phi, phi, g_phi, cfg.learning_rate)
+            nn.adam_step(opt_psi, psi, g_psi, cfg.learning_rate)
+        if epoch in logged:
+            o = nn.forward(psi, nn.forward(phi, X).output).output
+            scores = models._scores_from_output(o, cfg.loss, groups)
+            errors[epoch] = np.mean((scores - X) ** 2, axis=0)
+        if epoch in checkpoints:
+            curve = np.vstack([errors[e] for e in checkpoints[epoch]])
+            out[epoch] = (phi.copy(), psi.copy(), curve)
+    return out
+
+
+def separate_vae(train, y, cfg, weights=None):
+    """Train one VAE on one loss; returns (nets, loss checkpoints)."""
+    from mixedae import models, nn
+    from mixedae.losses import compute_balance_weights
+    from mixedae.rng import derive_seed, gaussian, make_rng
+
+    X, enc = train.values, train.encoder
+    y = np.asarray(y, dtype=np.float64)
+    y_lo, y_hi = float(y.min()), float(y.max())
+    ys = ((y - y_lo) / (y_hi - y_lo))[:, None]
+    if cfg.loss.needs_weights and weights is None:
+        weights = compute_balance_weights(enc)
+    nets = models.build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
+    opts = [nn.AdamState.for_network(net) for net in nets.all()]
+    shuffle = make_rng(derive_seed(cfg.seed, 1))
+    noise_rng = make_rng(derive_seed(cfg.seed, 2))
+    checkpoints = models.checkpoint_epochs(cfg.epochs)
+    history = []
+    n = X.shape[0]
+    for epoch in range(1, cfg.epochs + 1):
+        order = shuffle.permutation(n)
+        last_value = np.nan
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, yb = X[idx], ys[idx]
+            t1 = nn.forward(nets.hl1, xb)
+            t_mu = nn.forward(nets.hl21, t1.output)
+            t_lv = nn.forward(nets.hl22, t1.output)
+            mu, logvar = t_mu.output, t_lv.output
+            eps = gaussian(noise_rng, mu.shape)
+            z = models.reparameterize(mu, logvar, eps)
+            t3 = nn.forward(nets.hl3, z)
+            t_x = nn.forward(nets.hl41, t3.output)
+            t_y = nn.forward(nets.hl42, t3.output)
+            last_value, (gx, gy, g_mu_kl, g_lv_kl) = models.vae_loss(
+                t_x.output, xb, t_y.output, yb, mu, logvar, weights, cfg.loss
+            )
+            g41 = nn.backward(nets.hl41, t_x, gx)
+            g42 = nn.backward(nets.hl42, t_y, gy)
+            g3 = nn.backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input)
+            dz = g3.wrt_input
+            d_mu = dz + g_mu_kl
+            d_lv = dz * eps * 0.5 * np.exp(0.5 * logvar) + g_lv_kl
+            g21 = nn.backward(nets.hl21, t_mu, d_mu)
+            g22 = nn.backward(nets.hl22, t_lv, d_lv)
+            g1 = nn.backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input)
+            for net, opt, g in zip(nets.all(), opts, [g1, g21, g22, g3, g41, g42]):
+                nn.adam_step(opt, net, g, cfg.learning_rate)
+        for _ in range(checkpoints.count(epoch)):
+            history.append((epoch, last_value))
+    return nets, np.asarray(history)

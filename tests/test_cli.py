@@ -123,6 +123,18 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg)) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_non_finite_csv_cell_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        rows = [f"{i}.0,{'uv'[i % 2]}" for i in range(9)] + ["inf,u"]
+        data.write_text("a,q\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {data}\n"
+            f"[train]\nepochs = 5\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("train", "--config", str(cfg)) == 3
+        assert "row 11" in capsys.readouterr().err
+
     def test_vae_train(self, tmp_path):
         cfg = tmp_path / "train.ini"
         out = tmp_path / "vae"
@@ -175,6 +187,7 @@ class TestExperiment:
             "[experiment]\nepochs = 0\n",
             "[experiment]\nepochs = -5\n",
             "[experiment]\ntask = binary\n",
+            "[experiment]\ntask = multiclass\n",
             "[data]\ncoeffs = 1,a\n",
         ],
     )

@@ -25,6 +25,7 @@ from mixedae.models import (
     vae_reconstruct,
 )
 from mixedae.rng import gaussian, make_rng
+from oracles import chained_autoencoder_budgets, separate_vae
 from mixedae.tabular import (
     Dataset,
     EncodedMatrix,
@@ -163,6 +164,46 @@ class TestTrainAutoencoderBudgets:
         for budgets in ((), (5, 0)):
             with pytest.raises(errors.ConfigError):
                 models.train_autoencoder_budgets(X, AutoencoderConfig(), budgets)
+
+
+class TestLockstepArms:
+    def test_autoencoder_arms_equal_chained_per_arm_training(self, synthetic_split):
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        losses = ("standard", "balanced", "blended:0.3", "ce")
+        arms = models.train_autoencoder_arms(X, AutoencoderConfig(seed=6), losses, (3, 7))
+        assert len(arms) == len(losses)
+        for loss, snaps in zip(losses, arms):
+            ref = chained_autoencoder_budgets(X, AutoencoderConfig(loss=loss, seed=6), (3, 7))
+            assert list(snaps) == [3, 7]
+            for budget, snap in snaps.items():
+                phi, psi, curve = ref[budget]
+                assert snap.config == AutoencoderConfig(epochs=budget, loss=loss, seed=6)
+                assert np.array_equal(snap.encoder_net.params, phi.params)
+                assert np.array_equal(snap.decoder_net.params, psi.params)
+                assert np.array_equal(snap.curves.errors, curve)
+
+    def test_vae_arms_equal_separate_training(self, synthetic_split):
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        losses = ("standard", "balanced", "blended:0.3")
+        arms = models.train_vae_arms(X, train.y, VAEConfig(epochs=4, seed=9), losses)
+        assert len(arms) == len(losses)
+        for loss, got in zip(losses, arms):
+            cfg = VAEConfig(epochs=4, seed=9, loss=loss)
+            nets, history = separate_vae(X, train.y, cfg)
+            assert got.config == cfg
+            for a, b in zip(got.nets.all(), nets.all()):
+                assert a.params.ndim == 1 and np.array_equal(a.params, b.params)
+            assert np.array_equal(got.loss_checkpoints, history)
+
+    def test_no_arms_rejected(self, synthetic_split):
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        with pytest.raises(errors.ConfigError):
+            models.train_autoencoder_arms(X, AutoencoderConfig(), (), (3,))
+        with pytest.raises(errors.ConfigError):
+            models.train_vae_arms(X, train.y, VAEConfig(), ())
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,18 @@
 """Network, gradient and optimizer tests."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedae import nn
-from mixedae.errors import DimensionError, ShapeError
+from mixedae.errors import DimensionError, MixedAEError, ShapeError
 from mixedae.losses import mse_loss
 from mixedae.rng import make_rng
 
-from oracles import LayerwiseAdam
+from oracles import LayerwiseAdam, reference_forward_backward
 
 
 def finite_difference_grads(net, x, target, h=1e-5):
@@ -239,6 +243,115 @@ class TestParameterBuffer:
             assert all(np.all(l.W == 0.25) and np.all(l.b == 0.25) for l in n.layers)
 
 
+def arm_nets(n_arms=3, dims=(6, 5, 4, 3), acts=(nn.TANH, nn.TANH, nn.IDENTITY)):
+    return [nn.init_network(list(dims), list(acts), seed=s) for s in range(n_arms)]
+
+
+class TestStackedNetwork:
+    def test_layout(self):
+        nets = arm_nets()
+        stacked = nn.Network.stack(nets)
+        assert stacked.params.shape == (3, nets[0].params.size)
+        for k, layer in enumerate(stacked.layers):
+            assert layer.W.shape == (3, *nets[0].layers[k].W.shape)
+            assert layer.b.shape == (3, nets[0].layers[k].b.size)
+            assert np.shares_memory(layer.W, stacked.params)
+            assert np.shares_memory(layer.b, stacked.params)
+        for i, net in enumerate(nets):
+            assert np.array_equal(stacked.params[i], net.params)
+
+    def test_shape_check(self):
+        with pytest.raises(DimensionError):
+            nn.Network.stack([nn.init_network([4, 3], [nn.TANH], seed=0),
+                              nn.init_network([4, 2], [nn.TANH], seed=0)])
+        with pytest.raises(DimensionError):
+            nn.Network.stack([nn.init_network([4, 3], [nn.TANH], seed=0),
+                              nn.init_network([4, 3], [nn.IDENTITY], seed=0)])
+
+    def test_arm_is_an_independent_copy(self):
+        nets = arm_nets()
+        stacked = nn.Network.stack(nets)
+        arm = stacked.arm(1)
+        assert arm.params.shape == nets[1].params.shape
+        assert np.array_equal(arm.params, nets[1].params)
+        assert not np.shares_memory(arm.params, stacked.params)
+        arm.params[:] = 7.0
+        stacked.params[1] = -7.0
+        assert np.array_equal(stacked.arm(1).params, np.full_like(arm.params, -7.0))
+        assert np.all(arm.params == 7.0)
+        assert np.array_equal(stacked.arm(0).params, nets[0].params)
+
+    def test_batch_shape_checked(self):
+        stacked = nn.Network.stack(arm_nets())
+        with pytest.raises(ShapeError):
+            nn.forward(stacked, np.ones((2, 4, 6)))
+        with pytest.raises(ShapeError):
+            nn.forward(stacked, np.ones(6))
+
+    def test_plain_network_equals_reference_loop(self):
+        # in-place forward/backward against fresh temporaries, bit for bit
+        rng = make_rng(9)
+        net = arm_nets(1)[0]
+        net.params[:] = rng.random(net.params.size) - 0.5  # non-zero biases too
+        for rows in (8, 1):
+            x, d_out = rng.random((rows, 6)), rng.random((rows, 3))
+            trace = nn.forward(net, x)
+            g = nn.backward(net, trace, d_out)
+            layers = [(l.W, l.b, l.activation) for l in net.layers]
+            outs, grads, wrt_input = reference_forward_backward(layers, x, d_out)
+            assert all(np.array_equal(a, r) for a, r in zip(trace.activations[1:], outs))
+            for (dW, db), (rW, rb) in zip(g.layers, grads):
+                assert np.array_equal(dW, rW) and np.array_equal(db, rb)
+            assert np.array_equal(g.wrt_input, wrt_input)
+
+    @pytest.mark.parametrize("per_arm", [False, True])
+    def test_steps_equal_per_arm_networks(self, per_arm):
+        # 30 Adam steps on varying batch sizes: the stacked forward,
+        # backward and update equal each arm's own, bit for bit
+        rng = make_rng(4)
+        nets = arm_nets()
+        stacked = nn.Network.stack(nets)
+        states = [nn.AdamState.for_network(n) for n in nets]
+        stacked_state = nn.AdamState.for_network(stacked)
+        for step in range(30):
+            rows = (8, 5, 1)[step % 3]
+            x = rng.random((3, rows, 6)) if per_arm else rng.random((rows, 6))
+            t = rng.random((3, rows, 3))
+            trace = nn.forward(stacked, x)
+            g = nn.backward(stacked, trace, trace.output - t)
+            for i, net in enumerate(nets):
+                xi = x[i] if per_arm else x
+                trace_i = nn.forward(net, xi)
+                g_i = nn.backward(net, trace_i, trace_i.output - t[i])
+                for a, a_i in zip(trace.activations[1:], trace_i.activations[1:]):
+                    assert np.array_equal(a[i], a_i)
+                assert np.array_equal(g.flat[i], g_i.flat)
+                assert np.array_equal(g.wrt_input[i], g_i.wrt_input)
+                nn.adam_step(states[i], net, g_i, lr=0.01)
+            nn.adam_step(stacked_state, stacked, g, lr=0.01)
+            for i, net in enumerate(nets):
+                assert np.array_equal(stacked.params[i], net.params)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_skipping_input_gradient_keeps_parameter_gradients(self, stack):
+        net = nn.Network.stack(arm_nets()) if stack else arm_nets(1)[0]
+        x = make_rng(6).random((7, 6))
+        trace = nn.forward(net, x)
+        d_out = np.ones_like(trace.output)
+        full = nn.backward(net, trace, d_out)
+        skipped = nn.backward(net, trace, d_out, need_input=False)
+        assert skipped.wrt_input is None
+        assert np.array_equal(full.flat, skipped.flat)
+        # the input gradient itself, against central differences of sum(output)
+        h, numeric = 1e-6, np.zeros(full.wrt_input.shape)
+        for ix in np.ndindex(*x.shape):
+            for sign in (1.0, -1.0):
+                xs = x.copy()
+                xs[ix] += sign * h
+                numeric[(..., *ix)] += sign * nn.forward(net, xs).output.sum(axis=(-2, -1)) / (2 * h)
+        assert np.allclose(full.wrt_input, numeric, atol=1e-7)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         nets = [
@@ -261,3 +374,51 @@ class TestCheckpoint:
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(ShapeError):
             nn.read_networks(p)
+
+    def test_every_truncation_raises_shape_error(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        nn.write_networks(path, [nn.init_network([3, 2, 2], [nn.TANH, nn.IDENTITY], seed=1)],
+                          {"kind": "test"})
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(ShapeError):
+                nn.read_networks(cut)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw, h: raw + b"\0",                                  # trailing byte
+        lambda raw, h: raw[:10] + b"\xff" + raw[11:],                # non-UTF-8 header
+        lambda raw, h: raw[:10] + b"[" + raw[11:],                    # bad JSON
+        lambda raw, h: raw[: 6 + 4 + h + 4 + 4 + 8] + b"\x07" + raw[6 + 4 + h + 4 + 4 + 9 :],
+    ], ids=["trailing", "utf8", "json", "activation"])
+    def test_malformed_files_raise_shape_error(self, tmp_path, damage):
+        path = tmp_path / "net.ckpt"
+        nn.write_networks(path, [nn.init_network([3, 2], [nn.TANH], seed=1)], {"k": 1})
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 6)
+        path.write_bytes(damage(raw, hlen))
+        with pytest.raises(ShapeError):
+            nn.read_networks(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips_round_trip_or_raise(self, tmp_path_factory, data):
+        # a flip anywhere after the magic: in the header length, the JSON
+        # header, the counts or a layer record
+        path = tmp_path_factory.mktemp("flip") / "net.ckpt"
+        nets = [nn.init_network([3, 2, 2], [nn.TANH, nn.IDENTITY], seed=1),
+                nn.init_network([2, 1], [nn.IDENTITY], seed=2)]
+        nn.write_networks(path, nets, {"kind": "test", "n": 2})
+        raw = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(6, len(raw) - 1))
+        raw[pos] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(raw))
+        try:
+            back, header = nn.read_networks(path)
+        except MixedAEError:
+            return
+        nn.write_networks(path, back, header)
+        again, header_again = nn.read_networks(path)
+        assert header_again == header
+        assert [n.params.tobytes() for n in again] == [n.params.tobytes() for n in back]

@@ -97,6 +97,15 @@ class TestReadCsv:
         with pytest.raises(errors.ShapeError):
             read_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-NaN"])
+    @pytest.mark.parametrize("column", ["a", "y"])
+    def test_non_finite_number_rejected(self, tmp_path, column, cell):
+        cells = {"a": "2", "y": "0.5", column: cell}
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,b,y\n1,x,0\n{cells['a']},y,{cells['y']}\n3,x,1\n")
+        with pytest.raises(errors.DataError, match=f"'{column}', row 3"):
+            read_csv(p, target="y")
+
     def test_header_mismatch(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("z,b\n1,x\n")
