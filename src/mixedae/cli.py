@@ -69,20 +69,25 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
     cfg = {section: dict(values) for section, values in DEFAULTS.items()}
     if path is None:
         return cfg
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
     if text.lstrip().startswith("{") or str(path).endswith(".json"):
         try:
             loaded = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from e
+        if not isinstance(loaded, dict) or not all(isinstance(v, dict) for v in loaded.values()):
+            raise ConfigError(f"{path}: JSON config must be an object of section objects")
         items = {s: {k: str(v) for k, v in kv.items()} for s, kv in loaded.items()}
     else:
         parser = configparser.ConfigParser()
         try:
             parser.read_string(text, source=str(path))
+            items = {s: dict(parser.items(s)) for s in parser.sections()}
         except configparser.Error as e:
             raise ConfigError(f"{path}: {e}") from e
-        items = {s: dict(parser.items(s)) for s in parser.sections()}
     for section, values in items.items():
         if section not in cfg:
             raise ConfigError(f"{path}: unknown section [{section}]")

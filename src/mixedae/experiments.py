@@ -25,14 +25,7 @@ import numpy as np
 
 from . import metrics, models, tabular
 from .errors import ConfigError, DataError, MixedAEError
-from .models import (
-    AutoencoderConfig,
-    LearningCurves,
-    LossSpec,
-    TrainedAutoencoder,
-    VAEConfig,
-    parse_loss,
-)
+from .models import AutoencoderConfig, LearningCurves, VAEConfig, parse_loss
 from .rng import derive_seed, make_rng
 from .tabular import Dataset, encode, fit_encoder, split
 
@@ -75,12 +68,10 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp never overflows
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)

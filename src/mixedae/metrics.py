@@ -4,7 +4,9 @@ The reconstruction quality metric ``msem`` mixes scaled numeric MSE with
 one minus balanced accuracy per categorical variable; ``mc_distance``
 compares mixed correlation matrices (Spearman rho, Cramer's V, eta
 squared by pair type). Degenerate inputs raise rather than returning
-silent zeros, with one exception: silhouette's 0/0 -> 0 convention.
+silent zeros, with two exceptions: silhouette's 0/0 -> 0 convention and
+``mixed_correlation``'s 0 for a constant column. Ranks, contingency
+tables, groups and cluster labels all come from one helper, ``_levels``.
 """
 
 from __future__ import annotations
@@ -38,12 +40,8 @@ def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
     y_pred = np.asarray(y_pred).astype(bool)
     if y_true.shape != y_pred.shape:
         raise LengthMismatch("y_true and y_pred must have equal length")
-    return ConfusionCounts(
-        tp=int(np.sum(y_true & y_pred)),
-        tn=int(np.sum(~y_true & ~y_pred)),
-        fp=int(np.sum(~y_true & y_pred)),
-        fn=int(np.sum(y_true & ~y_pred)),
-    )
+    tp, t, p = (int(np.count_nonzero(v)) for v in (y_true & y_pred, y_true, y_pred))
+    return ConfusionCounts(tp=tp, tn=y_true.size - t - p + tp, fp=p - tp, fn=t - tp)
 
 
 def balanced_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -99,9 +97,22 @@ def classification_scores(y_true: np.ndarray, y_pred: np.ndarray) -> Classificat
 # Pairwise association statistics
 # ----------------------------------------------------------------------
 
+def _levels(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's unique inverse and counts of the flattened array, without its overhead."""
+    # NaN != NaN keeps every NaN, but all map to the first one: the others
+    # get no rows and fall off the end of the bincount, as unique does.
+    v = np.ravel(v)
+    s = np.sort(v)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    inverse = np.searchsorted(s[keep], v)
+    return inverse, np.bincount(inverse)
+
+
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     # Average rank of ties: mean of the 1-based positions of each value block.
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    inverse, counts = _levels(x)
     cum = np.cumsum(counts)
     avg = (cum - counts + 1 + cum) / 2.0
     return avg[inverse]
@@ -130,16 +141,14 @@ def cramers_v(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape or a.size < 1:
         raise LengthMismatch("need two equal-length vectors")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    r = ai.max() + 1
-    c = bi.max() + 1
+    ai, ra = _levels(a)
+    bi, cb = _levels(b)
+    r, c = ra.size, cb.size
     if r < 2 or c < 2:
         raise DegenerateTable("both variables need >= 2 observed categories")
     n = a.size
-    table = np.zeros((r, c))
-    np.add.at(table, (ai, bi), 1.0)
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+    table = np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
+    expected = np.outer(ra, cb) / n
     chi2 = float(np.sum((table - expected) ** 2 / expected))
     return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
 
@@ -150,16 +159,14 @@ def eta_squared(x: np.ndarray, g: np.ndarray) -> float:
     g = np.asarray(g)
     if x.shape != g.shape or x.size < 2:
         raise LengthMismatch("need two equal-length vectors of size >= 2")
-    _, gi, counts = np.unique(g, return_inverse=True, return_counts=True)
+    gi, counts = _levels(g)
     if counts.size < 2:
         raise EmptyGroup("need at least 2 non-empty groups")
     total = x - x.mean()
     sst = float(np.sum(total * total))
     if sst == 0.0:
         raise ZeroVariance("x has zero total variance")
-    sums = np.zeros(counts.size)
-    np.add.at(sums, gi, x)
-    means = sums / counts
+    means = np.bincount(gi, weights=x.ravel()) / counts
     ssb = float(np.sum(counts * (means - x.mean()) ** 2))
     return ssb / sst
 
@@ -188,27 +195,27 @@ class MixedCorrelationMatrix:
 
 def mixed_correlation(data: Dataset) -> MixedCorrelationMatrix:
     """Spearman for numeric pairs, Cramer's V for categorical pairs,
-    eta squared for mixed pairs; diagonal fixed at 1."""
+    eta squared for mixed pairs; diagonal fixed at 1. A constant column
+    (one distinct value), on which all three are undefined, has 0 with
+    every other column, so a collapsed reconstruction still gets a score."""
     cols = data.schema.columns
     p = len(cols)
     values = np.eye(p)
     kinds = np.empty((p, p), dtype=object)
+    # indexed by the number of categorical columns in the pair
+    stats = ((SPEARMAN, spearman), (ETA_SQUARED, eta_squared), (CRAMERS_V, cramers_v))
+    xs = [data.column(c.name) for c in cols]
+    varies = [_levels(x)[1].size > 1 for x in xs]
     for i in range(p):
         kinds[i, i] = CRAMERS_V if cols[i].is_categorical else SPEARMAN
     for i in range(p):
         for j in range(i + 1, p):
             ci, cj = cols[i], cols[j]
-            xi = data.column(ci.name)
-            xj = data.column(cj.name)
-            if not ci.is_categorical and not cj.is_categorical:
-                kind, v = SPEARMAN, spearman(xi, xj)
-            elif ci.is_categorical and cj.is_categorical:
-                kind, v = CRAMERS_V, cramers_v(xi, xj)
-            elif ci.is_categorical:
-                kind, v = ETA_SQUARED, eta_squared(xj, xi)
-            else:
-                kind, v = ETA_SQUARED, eta_squared(xi, xj)
-            values[i, j] = values[j, i] = v
+            kind, stat = stats[ci.is_categorical + cj.is_categorical]
+            xi, xj = xs[i], xs[j]
+            if ci.is_categorical and not cj.is_categorical:
+                xi, xj = xj, xi  # eta squared takes (numeric, categorical)
+            values[i, j] = values[j, i] = stat(xi, xj) if varies[i] and varies[j] else 0.0
             kinds[i, j] = kinds[j, i] = kind
     return MixedCorrelationMatrix(data.schema.names, values, kinds)
 
@@ -275,18 +282,22 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     n = points.shape[0]
     if n < 3:
         raise LengthMismatch("need at least 3 points")
-    _, li, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    li, counts = _levels(labels)
     k = counts.size
     if k < 2:
         raise SingleCluster("need at least 2 clusters")
 
     # direct differences, chunked over rows: the |x|^2 + |y|^2 - 2xy form
-    # loses ~1e-10 relative precision for well-separated clusters
+    # loses ~1e-10 relative precision for well-separated clusters. Blocks on
+    # and above the diagonal only, mirrored: (a - b)^2 == (b - a)^2 exactly.
     dist = np.empty((n, n))
     step = max(1, 2**22 // max(1, n * points.shape[1]))
     for start in range(0, n, step):
-        block = points[start : start + step, None, :] - points[None, :, :]
-        dist[start : start + step] = np.sqrt(np.sum(block * block, axis=2))
+        block = points[start : start + step, None, :] - points[None, start:, :]
+        block *= block
+        upper = np.sqrt(np.sum(block, axis=2))
+        dist[start : start + step, start:] = upper
+        dist[start:, start : start + step] = upper.T
 
     onehot = np.zeros((n, k))
     onehot[np.arange(n), li] = 1.0
@@ -316,4 +327,4 @@ def rank_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise SingleClassTruth("AUC needs both classes in y_true")
     ranks = _average_ranks(scores)
-    return float((ranks[y_true].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float((ranks[y_true.ravel()].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

@@ -19,7 +19,6 @@ analytic Gaussian KL term with weight 1.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 

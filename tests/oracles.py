@@ -232,3 +232,164 @@ def separate_vae(train, y, cfg, weights=None):
         for _ in range(checkpoints.count(epoch)):
             history.append((epoch, last_value))
     return nets, np.asarray(history)
+
+
+# ----------------------------------------------------------------------
+# The metric and proxy kernels as they were written before the shared
+# level helper (np.unique, np.add.at, the full distance matrix and the
+# masked sigmoid). The kernels in mixedae must match these bit for bit.
+# ----------------------------------------------------------------------
+
+def unique_average_ranks(x):
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    cum = np.cumsum(counts)
+    avg = (cum - counts + 1 + cum) / 2.0
+    return avg[inverse]
+
+
+def unique_spearman(x, y):
+    from mixedae.errors import LengthMismatch, ZeroVariance
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.size < 2:
+        raise LengthMismatch("need two equal-length vectors of size >= 2")
+    rx = unique_average_ranks(x)
+    ry = unique_average_ranks(y)
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    sx = np.sum(dx * dx)
+    sy = np.sum(dy * dy)
+    if sx == 0.0 or sy == 0.0:
+        raise ZeroVariance("rank vector is constant")
+    return float(np.sum(dx * dy) / np.sqrt(sx * sy))
+
+
+def unique_cramers_v(a, b):
+    from mixedae.errors import DegenerateTable, LengthMismatch
+
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.size < 1:
+        raise LengthMismatch("need two equal-length vectors")
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    r = ai.max() + 1
+    c = bi.max() + 1
+    if r < 2 or c < 2:
+        raise DegenerateTable("both variables need >= 2 observed categories")
+    n = a.size
+    table = np.zeros((r, c))
+    np.add.at(table, (ai, bi), 1.0)
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+    chi2 = float(np.sum((table - expected) ** 2 / expected))
+    return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
+
+
+def unique_eta_squared(x, g):
+    from mixedae.errors import EmptyGroup, LengthMismatch, ZeroVariance
+
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g)
+    if x.shape != g.shape or x.size < 2:
+        raise LengthMismatch("need two equal-length vectors of size >= 2")
+    _, gi, counts = np.unique(g, return_inverse=True, return_counts=True)
+    if counts.size < 2:
+        raise EmptyGroup("need at least 2 non-empty groups")
+    total = x - x.mean()
+    sst = float(np.sum(total * total))
+    if sst == 0.0:
+        raise ZeroVariance("x has zero total variance")
+    sums = np.zeros(counts.size)
+    np.add.at(sums, gi, x)
+    means = sums / counts
+    ssb = float(np.sum(counts * (means - x.mean()) ** 2))
+    return ssb / sst
+
+
+def masked_confusion_counts(y_true, y_pred):
+    from mixedae.errors import LengthMismatch
+
+    y_true = np.asarray(y_true).astype(bool)
+    y_pred = np.asarray(y_pred).astype(bool)
+    if y_true.shape != y_pred.shape:
+        raise LengthMismatch("y_true and y_pred must have equal length")
+    return (
+        int(np.sum(y_true & y_pred)),
+        int(np.sum(~y_true & ~y_pred)),
+        int(np.sum(~y_true & y_pred)),
+        int(np.sum(y_true & ~y_pred)),
+    )
+
+
+def full_matrix_silhouette(points, labels):
+    from mixedae.errors import LengthMismatch, SingleCluster
+
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    if points.ndim != 2 or points.shape[0] != labels.shape[0]:
+        raise LengthMismatch("points must be n x d with one label per row")
+    n = points.shape[0]
+    if n < 3:
+        raise LengthMismatch("need at least 3 points")
+    _, li, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    k = counts.size
+    if k < 2:
+        raise SingleCluster("need at least 2 clusters")
+    dist = np.empty((n, n))
+    step = max(1, 2**22 // max(1, n * points.shape[1]))
+    for start in range(0, n, step):
+        block = points[start : start + step, None, :] - points[None, :, :]
+        dist[start : start + step] = np.sqrt(np.sum(block * block, axis=2))
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), li] = 1.0
+    sums = dist @ onehot
+    own_count = counts[li]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = sums[np.arange(n), li] / np.maximum(own_count - 1, 1)
+    mean_other = sums / counts[None, :]
+    mean_other[np.arange(n), li] = np.inf
+    b = mean_other.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)
+    s = np.where(own_count == 1, 0.0, s)
+    return float(np.mean(s))
+
+
+def unique_rank_auc(y_true, scores):
+    from mixedae.errors import LengthMismatch, SingleClassTruth
+
+    y_true = np.asarray(y_true).astype(bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    if y_true.shape != scores.shape:
+        raise LengthMismatch("y_true and scores must have equal length")
+    n_pos = int(y_true.sum())
+    n_neg = y_true.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise SingleClassTruth("AUC needs both classes in y_true")
+    ranks = unique_average_ranks(scores)
+    return float((ranks[y_true].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def masked_logistic_fit(X, y, steps, lr=1.0, lam=1e-4):
+    """Full-batch gradient descent on the log-loss; (coef, intercept)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    coef = np.zeros(d)
+    intercept = 0.0
+    for _ in range(steps):
+        p = masked_sigmoid(X @ coef + intercept)
+        err = p - y
+        coef -= lr * (X.T @ err / n + lam * coef)
+        intercept -= lr * float(err.mean())
+    return coef, intercept

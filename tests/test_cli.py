@@ -1,11 +1,14 @@
 """End-to-end command-line tests."""
 
 import json
-from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedae.cli import DEFAULTS, dump_config, load_config, main
+from mixedae.errors import ConfigError, MixedAEError
 
 
 def run_cli(*argv):
@@ -65,6 +68,57 @@ class TestConfig:
     def test_dump_config_format(self):
         text = dump_config(load_config(None))
         assert "[data]" in text and "source = synthetic" in text
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("list.json", b"[1, 2]"),
+            ("section.json", b'{"data": 3}'),
+            ("percent.ini", b"[data]\ncontext = 50%\n"),
+            ("latin1.ini", b"[data]\ncontext = caf\xe9\n"),
+        ],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, name, content):
+        cfg = tmp_path / name
+        cfg.write_bytes(content)
+        with pytest.raises(ConfigError):
+            load_config(str(cfg))
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
+        assert "config error" in capsys.readouterr().err
+
+
+SECTIONS = sorted(DEFAULTS) + ["DEFAULT", "nope", ""]
+KEYS = sorted({k for values in DEFAULTS.values() for k in values}) + ["bogus"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SECTIONS + KEYS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+ini_lines = st.one_of(
+    st.sampled_from(SECTIONS).map(lambda s: f"[{s}]"),
+    st.tuples(st.sampled_from(KEYS) | st.text(max_size=4), st.text(max_size=8)).map(" = ".join),
+    st.text(max_size=12),
+)
+config_files = st.one_of(
+    st.text(),
+    st.binary(),
+    json_values.map(json.dumps),
+    st.lists(ini_lines, max_size=6).map("\n".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(content=config_files, suffix=st.sampled_from([".ini", ".json", ".cfg"]))
+def test_load_config_loads_or_raises_typed_error(tmp_path_factory, content, suffix):
+    path = tmp_path_factory.getbasetemp() / f"fuzz{suffix}"
+    path.write_bytes(content.encode("utf-8", "surrogatepass") if isinstance(content, str) else content)
+    try:
+        cfg = load_config(str(path))
+    except MixedAEError:
+        return
+    assert cfg.keys() == DEFAULTS.keys()
+    assert all(isinstance(v, str) for values in cfg.values() for v in values.values())
 
 
 class TestGenerate:
@@ -196,6 +250,20 @@ class TestExperiment:
         cfg.write_text(text)
         assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_collapsed_reconstruction_is_scored(self, tmp_path):
+        # On this seed, at 6 epochs, the balanced arm's test reconstruction
+        # holds a single category of Q1: mc gives that column association 0.
+        cfg = tmp_path / "collapse.ini"
+        cfg.write_text(
+            "[data]\nn = 2000\n"
+            "[experiment]\nruns = 1\nepochs = 6\nlosses = standard,balanced\nseed = 1025\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg)) == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "report.csv").read_text().splitlines()]
+        mc = [float(r[5]) for r in rows if r[4] == "mc"]
+        assert len(mc) == 2 and np.all(np.isfinite(mc))
 
     def test_bad_loss_flag(self, tiny_experiment_config):
         assert (

@@ -8,9 +8,7 @@ from mixedae.experiments import (
     BASELINE,
     DataSource,
     ExperimentConfig,
-    ExperimentReport,
     LogisticModel,
-    ReportRow,
     kmeans,
     load_report_csv,
     logistic_fit,

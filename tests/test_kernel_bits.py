@@ -1,0 +1,222 @@
+"""The metric and proxy kernels give the same bits as the np.unique /
+np.add.at / full-matrix / masked-sigmoid versions kept in ``oracles``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from mixedae import experiments, metrics
+from mixedae.errors import MixedAEError
+from oracles import (
+    full_matrix_silhouette,
+    masked_confusion_counts,
+    masked_logistic_fit,
+    masked_sigmoid,
+    unique_cramers_v,
+    unique_eta_squared,
+    unique_rank_auc,
+    unique_spearman,
+)
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]
+# few distinct values so that ties are common, plus arbitrary floats
+float_elems = st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True)
+int_elems = st.integers(-3, 3) | st.integers(-(2**62), 2**62)
+sizes = st.integers(1, 50)
+
+
+def float_vectors(n=sizes, elements=float_elems):
+    return hnp.arrays(np.float64, n, elements=elements)
+
+
+def identical(a, b) -> bool:
+    """Equal values, NaN at the same places, the same sign on every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if not np.array_equal(a, b, equal_nan=a.dtype.kind == "f"):
+        return False
+    return a.dtype.kind != "f" or np.array_equal(np.signbit(a[a == 0]), np.signbit(b[b == 0]))
+
+
+def assert_same(kernel, reference, *args):
+    """The kernel equals the reference bit for bit, or raises the same error."""
+    with np.errstate(all="ignore"):
+        try:
+            expected = reference(*args)
+        except MixedAEError as e:
+            with pytest.raises(type(e)):
+                kernel(*args)
+            return
+        got = kernel(*args)
+    assert type(got) is type(expected)
+    assert identical(got, expected), (got, expected)
+
+
+def assert_levels_match(v):
+    inverse, counts = metrics._levels(v)
+    _, ref_inverse, ref_counts = np.unique(v, return_inverse=True, return_counts=True)
+    assert identical(inverse, ref_inverse)
+    assert identical(counts, ref_counts)
+
+
+class TestLevels:
+    @settings(max_examples=400, deadline=None)
+    @given(v=float_vectors())
+    def test_floats_match_unique(self, v):
+        assert_levels_match(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=hnp.arrays(np.int64, sizes, elements=int_elems))
+    def test_ints_match_unique(self, v):
+        assert_levels_match(v)
+
+    @settings(max_examples=50, deadline=None)
+    @given(v=hnp.arrays(hnp.integer_dtypes() | hnp.floating_dtypes() | hnp.boolean_dtypes(), sizes))
+    def test_other_dtypes_match_unique(self, v):
+        assert_levels_match(v)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alphabet=st.integers(1, 900))
+    def test_n_800(self, seed, alphabet):
+        rng = np.random.default_rng(seed)
+        v = rng.integers(0, alphabet, 800).astype(np.float64)
+        v[rng.random(800) < 0.05] = np.nan
+        v[v == 0.0] = rng.choice([0.0, -0.0], int(np.sum(v == 0.0)))
+        assert_levels_match(v)
+        assert_levels_match(rng.integers(0, alphabet, 800))
+
+    @pytest.mark.parametrize(
+        "v",
+        [[np.nan], [np.nan, np.nan], [-0.0, 0.0, -0.0], [np.inf, np.nan, -np.inf, np.nan, np.inf], [7, 7, 7]],
+    )
+    def test_edge_cases(self, v):
+        assert_levels_match(np.asarray(v))
+
+
+class TestStatistics:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=sizes)
+    def test_spearman(self, data, n):
+        x = data.draw(float_vectors(n))
+        y = data.draw(float_vectors(n))
+        assert_same(metrics.spearman, unique_spearman, x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 50))
+    def test_spearman_on_small_alphabets(self, data, n):
+        x = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
+        y = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0, 0.5, 1.0])))
+        assert_same(metrics.spearman, unique_spearman, x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=sizes)
+    def test_rank_auc(self, data, n):
+        y = data.draw(hnp.arrays(np.bool_, n))
+        scores = data.draw(float_vectors(n))
+        assert_same(metrics.rank_auc, unique_rank_auc, y, scores)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=sizes)
+    def test_eta_squared(self, data, n):
+        x = data.draw(float_vectors(n, st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 0.5])))
+        g = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 4)))
+        assert_same(metrics.eta_squared, unique_eta_squared, x, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=sizes)
+    def test_eta_squared_special_values(self, data, n):
+        x = data.draw(float_vectors(n))
+        g = data.draw(float_vectors(n, st.sampled_from(SPECIAL)))
+        assert_same(metrics.eta_squared, unique_eta_squared, x, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=sizes)
+    def test_cramers_v(self, data, n):
+        a = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 4)))
+        b = data.draw(hnp.arrays(np.int64, n, elements=st.integers(-2, 2)))
+        assert_same(metrics.cramers_v, unique_cramers_v, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=sizes)
+    def test_cramers_v_on_labels_and_floats(self, data, n):
+        a = data.draw(hnp.arrays(np.dtype("<U2"), n, elements=st.sampled_from(["a", "b", "cc", ""])))
+        b = data.draw(float_vectors(n, st.sampled_from(SPECIAL)))
+        assert_same(metrics.cramers_v, unique_cramers_v, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shape=hnp.array_shapes(min_dims=2, max_dims=3, max_side=5))
+    def test_multidimensional_inputs(self, data, shape):
+        # np.unique flattens, and so does the level helper
+        x = data.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0, 2.5, np.nan])))
+        g = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2)))
+        assert_same(metrics.spearman, unique_spearman, x, g)
+        assert_same(metrics.cramers_v, unique_cramers_v, g, x)
+        assert_same(metrics.eta_squared, unique_eta_squared, x, g)
+        assert_same(metrics.rank_auc, unique_rank_auc, g > 0, x)
+
+    def test_length_mismatch_raises_alike(self):
+        for kernel, reference in [
+            (metrics.spearman, unique_spearman),
+            (metrics.cramers_v, unique_cramers_v),
+            (metrics.eta_squared, unique_eta_squared),
+            (metrics.rank_auc, unique_rank_auc),
+        ]:
+            assert_same(kernel, reference, np.zeros(3), np.zeros(4))
+            assert_same(kernel, reference, np.zeros(0), np.zeros(0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 50))
+    def test_confusion_counts(self, data, n):
+        t = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
+        p = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0, 1.0, 0.5])))
+        c = metrics.confusion_counts(t, p)
+        ref = masked_confusion_counts(t, p)
+        assert (c.tp, c.tn, c.fp, c.fn) == ref
+        assert all(type(v) is int for v in c)
+
+
+class TestSilhouette:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 12))
+    def test_matches_full_matrix(self, data, n, d):
+        grid = st.sampled_from([0.0, -0.0, 1.0, -1.5, 3.0]) | st.floats(-1e3, 1e3)
+        points = data.draw(hnp.arrays(np.float64, (n, d), elements=grid))
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+        assert_same(metrics.silhouette, full_matrix_silhouette, points, labels)
+
+    @pytest.mark.parametrize("n, d", [(700, 10), (1025, 4), (300, 50)])
+    def test_matches_full_matrix_over_several_chunks(self, n, d):
+        assert 2**22 // (n * d) < n  # the distance matrix is built in more than one chunk
+        rng = np.random.default_rng(n * d)
+        points = rng.normal(size=(n, d)) + rng.integers(0, 3, (n, 1)) * 4.0
+        labels = rng.integers(0, 4, n)
+        labels[:3] = 9  # a small cluster
+        assert_same(metrics.silhouette, full_matrix_silhouette, points, labels)
+
+
+class TestLogistic:
+    @settings(max_examples=300, deadline=None)
+    @given(z=hnp.arrays(np.float64, st.integers(0, 50), elements=float_elems | st.floats(-800, 800)))
+    def test_sigmoid(self, z):
+        with np.errstate(all="ignore"):
+            assert identical(experiments._sigmoid(z), masked_sigmoid(z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(0, 6),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+        steps=st.integers(1, 40),
+    )
+    def test_logistic_fit(self, seed, n, d, scale, steps):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * scale
+        y = rng.integers(0, 2, n).astype(np.float64)
+        model = experiments.logistic_fit(X, y, steps=steps)
+        coef, intercept = masked_logistic_fit(X, y, steps)
+        assert identical(model.coef, coef)
+        assert identical(model.intercept, intercept) and type(model.intercept) is float

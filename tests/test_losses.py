@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedae import errors, losses
+from mixedae import errors
 from mixedae.losses import (
     LossWeights,
     balanced_mse_loss,

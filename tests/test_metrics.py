@@ -207,6 +207,33 @@ class TestMixedCorrelation:
         assert m.values[i, j] == eta_squared(d.column("X1"), d.column("Q1"))
         assert m.kinds[i, j] == metrics.ETA_SQUARED
 
+    def test_constant_column_has_zero_association(self):
+        d = self.sample()
+        names = d.schema.names
+        cols = dict(d.columns)
+        cols["Q1"] = np.zeros_like(cols["Q1"])  # one observed level
+        cols["X1"] = np.full_like(cols["X1"], 0.1)  # one value; its mean is not exactly 0.1
+        m = mixed_correlation(Dataset(d.schema, cols))
+        full = mixed_correlation(d)
+        const = [names.index("Q1"), names.index("X1")]
+        for i in const:
+            assert m.values[i, i] == 1.0
+            assert np.all(np.delete(m.values[i], i) == 0.0)
+            assert np.all(np.delete(m.values[:, i], i) == 0.0)
+        rest = np.ix_(*[[k for k in range(len(names)) if k not in const]] * 2)
+        assert np.array_equal(m.values[rest], full.values[rest])
+        assert np.array_equal(m.kinds, full.kinds)
+
+    def test_pairwise_statistics_still_raise_on_a_constant_column(self):
+        d = self.sample()
+        q = np.zeros_like(d.column("Q1"))
+        with pytest.raises(errors.EmptyGroup):
+            eta_squared(d.column("X2"), q)
+        with pytest.raises(errors.DegenerateTable):
+            cramers_v(q, d.column("Q2"))
+        with pytest.raises(errors.ZeroVariance):
+            spearman(np.full(d.n, 0.1), d.column("X2"))
+
     def test_entry_ranges(self):
         m = mixed_correlation(self.sample())
         for i in range(m.p):

@@ -24,7 +24,7 @@ from mixedae.models import (
     vae_loss,
     vae_reconstruct,
 )
-from mixedae.rng import gaussian, make_rng
+from mixedae.rng import make_rng
 from oracles import chained_autoencoder_budgets, separate_vae
 from mixedae.tabular import (
     Dataset,
