@@ -73,6 +73,8 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e.strerror or e}") from e
     if text.lstrip().startswith("{") or str(path).endswith(".json"):
         try:
             loaded = json.loads(text)
@@ -121,6 +123,12 @@ def _float(cfg, section, key) -> float:
         raise ConfigError(f"[{section}] {key} must be a number") from None
 
 
+def _vae_config(cfg, **fields) -> VAEConfig:
+    """A VAEConfig from the [vae] section's network and optimizer keys, plus ``fields``."""
+    keys = {"dim_hidden": _int, "dim_z": _int, "batch_size": _int, "learning_rate": _float}
+    return VAEConfig(**{key: parse(cfg, "vae", key) for key, parse in keys.items()}, **fields)
+
+
 def _number_list(text: str, what: str, kind=int) -> tuple:
     try:
         return tuple(kind(t) for t in text.split(",") if t.strip())
@@ -161,13 +169,7 @@ def _experiment_from_config(cfg) -> ExperimentConfig:
         learning_rate=_float(cfg, "autoencoder", "learning_rate"),
         seed=_int(cfg, "experiment", "seed"),
         clusters=_int(cfg, "experiment", "clusters"),
-        vae=VAEConfig(
-            dim_hidden=_int(cfg, "vae", "dim_hidden"),
-            dim_z=_int(cfg, "vae", "dim_z"),
-            batch_size=_int(cfg, "vae", "batch_size"),
-            learning_rate=_float(cfg, "vae", "learning_rate"),
-            epochs=_int(cfg, "vae", "epochs"),
-        ),
+        vae=_vae_config(cfg, epochs=_int(cfg, "vae", "epochs")),
     )
 
 
@@ -205,14 +207,8 @@ def cmd_train(args) -> int:
     if cfg["experiment"]["model"] == "vae":
         if data.y is None:
             raise DataError("training a VAE needs a target column")
-        vae_cfg = VAEConfig(
-            dim_hidden=_int(cfg, "vae", "dim_hidden"),
-            dim_z=_int(cfg, "vae", "dim_z"),
-            batch_size=_int(cfg, "vae", "batch_size"),
-            learning_rate=_float(cfg, "vae", "learning_rate"),
-            epochs=_int(cfg, "train", "epochs"),
-            loss=loss,
-            seed=_int(cfg, "train", "seed"),
+        vae_cfg = _vae_config(
+            cfg, epochs=_int(cfg, "train", "epochs"), loss=loss, seed=_int(cfg, "train", "seed")
         )
         model = models.train_vae(matrix, data.y, vae_cfg)
         nets = model.nets.all()
@@ -353,10 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    except MixedAEError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as e:
+    except (MixedAEError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

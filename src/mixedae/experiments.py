@@ -406,27 +406,14 @@ def _run_once(data: Dataset, cfg: ExperimentConfig, run: int) -> tuple[list[Repo
                 cell["mc"] = metrics.mc_distance(test, recon_test)
 
                 if _needs_target(cfg.task):
-                    recon_train = models.reconstruct(model, train)
-                    cell.update(
-                        _downstream_metrics(
-                            cfg.task,
-                            encode(recon_train, enc).values,
-                            train.y,
-                            X_test.values,
-                            test.y,
-                            "recon",
-                        )
-                    )
-                    cell.update(
-                        _downstream_metrics(
-                            cfg.task,
-                            models.latent(model, train),
-                            train.y,
-                            models.latent(model, test),
-                            test.y,
-                            "latent",
-                        )
-                    )
+                    recon_train = encode(models.reconstruct(model, train), enc).values
+                    cell.update(_downstream_metrics(
+                        cfg.task, recon_train, train.y, X_test.values, test.y, "recon"
+                    ))
+                    z_train, z_test = models.latent(model, train), models.latent(model, test)
+                    cell.update(_downstream_metrics(
+                        cfg.task, z_train, train.y, z_test, test.y, "latent"
+                    ))
                 if cfg.task == "unsupervised":
                     z = models.latent(model, train)
                     km = kmeans(z, cfg.clusters, derive_seed(cfg.seed, run, 3))

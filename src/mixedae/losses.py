@@ -66,6 +66,16 @@ class LossWeights:
             is_categorical = np.zeros(width, dtype=bool)
         return cls(np.ones(width), np.ones(width), np.asarray(is_categorical, dtype=bool))
 
+    def select(self, target: np.ndarray) -> np.ndarray:
+        """Per-entry weights of a target matrix: ``w_one`` where it is 1, else
+        ``w_zero``. Categorical targets must be hard 0/1 (:class:`NonBinaryTarget`)."""
+        if target.shape[1] != self.width:
+            raise ShapeError(f"weights cover {self.width} features, batch has {target.shape[1]}")
+        cat = target[:, self.is_categorical]
+        if not np.all((cat == 0.0) | (cat == 1.0)):
+            raise NonBinaryTarget("categorical target entries must be exactly 0 or 1")
+        return np.where(target == 1.0, self.w_one, self.w_zero)
+
 
 def compute_balance_weights(enc: EncoderState) -> LossWeights:
     """Balance weights from training counts; numeric features get (1, 1).
@@ -102,17 +112,34 @@ def _check_shapes(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
     return pred, target
 
 
+def _weighted_mse(pred, target, w=None, alpha=None, out=None) -> tuple[float, np.ndarray]:
+    """The one weighted-MSE kernel behind the MSE-type losses; shapes unchecked.
+
+    With ``g = pred - target`` and s = 1/g.size: value = sum((w*g)*g) * s,
+    gradient = ((2*s)*w)*g, where ``w`` holds one weight per entry
+    (:meth:`LossWeights.select`) or is None for unit weights; with ``alpha``,
+    alpha * unit + (1 - alpha) * weighted. ``g``, then the gradient, go into
+    ``out`` (which may be ``pred`` itself) or else a fresh array.
+    """
+    g = np.subtract(pred, target, out=out)
+    scale = 1.0 / g.size
+    if w is None:
+        return float(np.sum(np.square(g)) * scale), np.multiply(2.0 * scale, g, out=g)
+    wg = np.multiply(w, g)  # one scratch array for (w*g)*g, then for (2*s)*w
+    value = float(np.sum(np.multiply(wg, g, out=wg)) * scale)
+    if alpha is None:
+        return value, np.multiply(np.multiply(2.0 * scale, w, out=wg), g, out=g)
+    unit = float(np.sum(np.square(g)) * scale)
+    grad = np.add(alpha * ((2.0 * scale) * g), (1.0 - alpha) * (((2.0 * scale) * w) * g), out=g)
+    return alpha * unit + (1.0 - alpha) * value, grad
+
+
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error over the whole encoded batch.
 
     value = (1/(B*P)) * sum (t - p)^2, gradient = (2/(B*P)) * (p - t).
     """
-    pred, target = _check_shapes(pred, target)
-    diff = target - pred
-    scale = 1.0 / diff.size
-    value = float(np.sum(diff * diff) * scale)
-    grad = (2.0 * scale) * (pred - target)
-    return value, grad
+    return _weighted_mse(*_check_shapes(pred, target))
 
 
 def balanced_mse_loss(
@@ -125,17 +152,7 @@ def balanced_mse_loss(
     weight selector ambiguous.
     """
     pred, target = _check_shapes(pred, target)
-    if pred.shape[1] != weights.width:
-        raise ShapeError(f"weights cover {weights.width} features, batch has {pred.shape[1]}")
-    cat = target[:, weights.is_categorical]
-    if not np.all((cat == 0.0) | (cat == 1.0)):
-        raise NonBinaryTarget("categorical target entries must be exactly 0 or 1")
-    w = np.where(target == 1.0, weights.w_one, weights.w_zero)
-    diff = target - pred
-    scale = 1.0 / diff.size
-    value = float(np.sum(w * diff * diff) * scale)
-    grad = (2.0 * scale) * w * (pred - target)
-    return value, grad
+    return _weighted_mse(pred, target, weights.select(target))
 
 
 def blended_loss(
@@ -144,9 +161,8 @@ def blended_loss(
     """Convex combination: alpha * MSE + (1 - alpha) * balanced MSE."""
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
-    v1, g1 = mse_loss(pred, target)
-    v2, g2 = balanced_mse_loss(pred, target, weights)
-    return alpha * v1 + (1.0 - alpha) * v2, alpha * g1 + (1.0 - alpha) * g2
+    pred, target = _check_shapes(pred, target)
+    return _weighted_mse(pred, target, weights.select(target), alpha)
 
 
 def cross_entropy_loss(

@@ -26,14 +26,7 @@ import numpy as np
 
 from . import nn, tabular
 from .errors import ConfigError, ConstantNumeric, DegenerateWidth, NonFinite, ShapeError
-from .losses import (
-    LossWeights,
-    balanced_mse_loss,
-    blended_loss,
-    compute_balance_weights,
-    cross_entropy_loss,
-    mse_loss,
-)
+from .losses import LossWeights, _weighted_mse, compute_balance_weights, cross_entropy_loss
 from .nn import Network, adam_step, backward, forward
 from .rng import derive_seed, gaussian, make_rng
 from .tabular import Dataset, EncodedMatrix, EncoderState, encode, decode
@@ -57,6 +50,8 @@ class LossSpec:
         if self.kind == "blended":
             if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
                 raise ConfigError(f"blended loss needs alpha in [0, 1], got {self.alpha}")
+        elif self.alpha is not None:
+            raise ConfigError(f"only the blended loss takes an alpha, not {self.kind!r}")
 
     @property
     def needs_weights(self) -> bool:
@@ -131,25 +126,19 @@ def build_autoencoder(p: int, dim_z: int, seed: int) -> tuple[Network, Network]:
     return phi, psi
 
 
-def _loss_fn(spec: LossSpec, weights: LossWeights | None, groups):
-    if spec.kind == "standard":
-        return mse_loss
-    if spec.kind == "balanced":
-        return lambda p, t: balanced_mse_loss(p, t, weights)
-    if spec.kind == "blended":
-        return lambda p, t: blended_loss(spec.alpha, p, t, weights)
-    return lambda p, t: cross_entropy_loss(p, t, groups)
-
-
-def _arms(cfg, losses, enc: EncoderState, weights: LossWeights | None) -> tuple[list, list]:
+def _arms(cfg, losses, train: EncodedMatrix, weights: LossWeights | None) -> tuple:
     """Per loss: ``cfg`` with that loss, and the loss weights (``weights`` or
-    the encoder's balance weights, computed once) if the loss needs them."""
+    the encoder's balance weights, computed once) if the loss needs them;
+    and the training matrix's weight table, selected once per fit, or None."""
     if not losses:
         raise ConfigError("need at least one loss")
     arms = [dataclasses.replace(cfg, loss=loss) for loss in losses]
-    if weights is None and any(a.loss.needs_weights for a in arms):
-        weights = compute_balance_weights(enc)
-    return arms, [weights if a.loss.needs_weights else None for a in arms]
+    if not any(a.loss.needs_weights for a in arms):
+        return arms, [None] * len(arms), None
+    if weights is None:
+        weights = compute_balance_weights(train.encoder)
+    table = weights.select(train.values)
+    return arms, [weights if a.loss.needs_weights else None for a in arms], table
 
 
 def _scores_from_output(output: np.ndarray, spec: LossSpec, groups) -> np.ndarray:
@@ -202,15 +191,15 @@ def train_autoencoder_arms(
     stacked network (phi's layers, then psi's), each bit for bit as alone.
     Per-feature training MSE is recorded at each budget's 10 checkpoint
     epochs; each snapshot's config carries its loss and budget. A
-    non-finite loss aborts with :class:`NonFinite`.
+    non-finite loss aborts with :class:`NonFinite`; a weighted arm's
+    non-0/1 categorical entry, with :class:`NonBinaryTarget` before step 1.
     """
     if not budgets or min(budgets) < 1:
         raise ConfigError(f"epochs budgets must be >= 1, got {budgets}")
     X = train.values
     enc = train.encoder
-    arms, weights = _arms(cfg, losses, enc, weights)
+    arms, weights, table = _arms(cfg, losses, train, weights)
     groups = enc.categorical_groups()
-    loss_fns = [_loss_fn(a.loss, w, groups) for a, w in zip(arms, weights)]
 
     phi, psi = build_autoencoder(train.width, cfg.dim_z, derive_seed(cfg.seed, 0))
     net = Network.stack([Network(phi.layers + psi.layers)] * len(arms))
@@ -230,14 +219,21 @@ def train_autoencoder_arms(
     for epoch in range(1, max(budgets) + 1):
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            xb = X[order[start : start + cfg.batch_size]]
+            idx = order[start : start + cfg.batch_size]
+            xb = X[idx]
+            wb = None if table is None else table[idx]
             trace = forward(net, xb)
             out = trace.output
             d_out = np.empty_like(out)
-            for i, (arm, loss_fn) in enumerate(zip(arms, loss_fns)):
-                adapter = arm.loss.kind != "ce"
-                value, d_pred = loss_fn((out[i] - OUT_LOW) / _SPAN if adapter else out[i], xb)
-                d_out[i] = d_pred / _SPAN if adapter else d_pred
+            for i, arm in enumerate(arms):
+                if arm.loss.kind == "ce":
+                    value, d_out[i] = cross_entropy_loss(out[i], xb, groups)
+                else:  # the adapter's scores, then their gradient, in arm i's slice
+                    pred = np.subtract(out[i], OUT_LOW, out=d_out[i])
+                    pred /= _SPAN
+                    w = wb if arm.loss.needs_weights else None
+                    value, _ = _weighted_mse(pred, xb, w, arm.loss.alpha, out=pred)
+                    pred /= _SPAN
                 if not np.isfinite(value):
                     raise NonFinite(f"{arm.loss.label} loss became non-finite at epoch {epoch}")
             adam_step(opt, net, backward(net, trace, d_out, need_input=False), cfg.learning_rate)
@@ -366,8 +362,10 @@ def vae_loss(
     y_true: np.ndarray,
     mu: np.ndarray,
     logvar: np.ndarray,
-    weights: LossWeights | None,
+    weights: LossWeights | np.ndarray | None,
     loss: LossSpec,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Reconstruction loss + plain target MSE + analytic KL (weight 1).
 
@@ -378,19 +376,28 @@ def vae_loss(
     the KL term is the usual closed form. Keeping the reconstruction at
     per-row scale stops the KL term from dwarfing it (per-entry means
     collapse the posterior and the latent carries nothing).
+
+    ``weights`` is a :class:`LossWeights` or the batch's rows of a weight
+    table (:meth:`LossWeights.select`). ``out`` receives the x_pred and
+    y_pred gradients; its two buffers may be x_pred and y_pred themselves.
     """
-    if mu.shape != logvar.shape:
-        raise ShapeError("mu and logvar must share a shape")
+    if mu.shape != logvar.shape or x_pred.shape != x_true.shape or y_pred.shape != y_true.shape:
+        raise ShapeError("mu and logvar, and each prediction and its target, must share a shape")
+    if not loss.needs_weights:
+        weights = None
+    elif not isinstance(weights, np.ndarray):
+        weights = weights.select(x_true)
+    out_x, out_y = out or (None, None)
     width = x_pred.shape[1]
-    vx, gx = _loss_fn(loss, weights, None)(x_pred, x_true)
-    vx, gx = vx * width, gx * width
-    vy, gy = mse_loss(y_pred, y_true)
+    vx, gx = _weighted_mse(x_pred, x_true, weights, loss.alpha, out=out_x)
+    gx *= width
+    vy, gy = _weighted_mse(y_pred, y_true, out=out_y)
     B = mu.shape[0]
     ev = np.exp(logvar)
     kl = float(-0.5 * np.sum(1.0 + logvar - mu * mu - ev) / B)
     g_mu = mu / B
     g_logvar = 0.5 * (ev - 1.0) / B
-    return vx + vy + kl, (gx, gy, g_mu, g_logvar)
+    return vx * width + vy + kl, (gx, gy, g_mu, g_logvar)
 
 
 def train_vae(
@@ -416,7 +423,8 @@ def train_vae_arms(
     target head's MSE is on the same footing as the feature block; the
     inverse map is applied when generating. The arms share init, shuffles
     and noise, so they train in lockstep on stacked networks, each bit for
-    bit as alone.
+    bit as alone. A weighted arm's non-0/1 categorical entry raises
+    :class:`NonBinaryTarget` before the first step.
     """
     X = train.values
     enc = train.encoder
@@ -428,7 +436,7 @@ def train_vae_arms(
         raise ConstantNumeric("target column is constant")
     ys = ((y - y_lo) / (y_hi - y_lo))[:, None]
 
-    arms, weights = _arms(cfg, losses, enc, weights)
+    arms, weights, table = _arms(cfg, losses, train, weights)
     base = build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
     nets = VAENets(*(Network.stack([net] * len(arms)) for net in base.all()))
     opts = [nn.AdamState.for_network(net) for net in nets.all()]
@@ -445,6 +453,7 @@ def train_vae_arms(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = X[idx], ys[idx]
+            wb = None if table is None else table[idx]
             t1 = forward(nets.hl1, xb)
             t_mu = forward(nets.hl21, t1.output)
             t_lv = forward(nets.hl22, t1.output)
@@ -456,22 +465,19 @@ def train_vae_arms(
             t_y = forward(nets.hl42, t3.output)
 
             # The heads are linear, so backward never reads their outputs:
-            # each arm's gradients overwrite its slice once its loss is taken.
-            gx, gy, g_mu_kl, g_lv_kl = grads = [
-                t_x.output, t_y.output, np.empty_like(mu), np.empty_like(logvar)
-            ]
-            for i, (arm, w) in enumerate(zip(arms, weights)):
-                last_values[i], arm_grads = vae_loss(
-                    t_x.output[i], xb, t_y.output[i], yb, mu[i], logvar[i], w, arm.loss
+            # each arm's loss writes its head gradients over its own slice.
+            gx, gy = t_x.output, t_y.output
+            g_mu_kl, g_lv_kl = np.empty_like(mu), np.empty_like(logvar)
+            for i, arm in enumerate(arms):
+                last_values[i], (_, _, g_mu_kl[i], g_lv_kl[i]) = vae_loss(
+                    gx[i], xb, gy[i], yb, mu[i], logvar[i], wb, arm.loss, out=(gx[i], gy[i])
                 )
                 if not np.isfinite(last_values[i]):
                     raise NonFinite(f"{arm.loss.label} VAE loss non-finite at epoch {epoch}")
-                for buf, g in zip(grads, arm_grads):
-                    buf[i] = g
 
             g41 = backward(nets.hl41, t_x, gx)
             g42 = backward(nets.hl42, t_y, gy)
-            del t_x, gx, grads  # frees the (M, B, p) head buffer before the next step
+            del t_x, gx  # frees the (M, B, p) head buffer before the next step
             g3 = backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input)
             dz = g3.wrt_input
             d_mu = dz + g_mu_kl

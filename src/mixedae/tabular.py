@@ -13,6 +13,7 @@ are safe to share across threads and processes.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -223,10 +224,6 @@ class EncoderState:
                 groups.setdefault(f.column, []).append(j)
         return [np.asarray(groups[name]) for name in self.schema.categorical_names()]
 
-    def group_slice(self, column: str) -> slice:
-        idx = [j for j, f in enumerate(self.features) if f.column == column]
-        return slice(idx[0], idx[-1] + 1)
-
 
 def _feature_refs(schema: Schema) -> tuple[FeatureRef, ...]:
     refs = []
@@ -359,13 +356,14 @@ def read_csv(
     ``categorical``; category order is first-appearance order. ``target``
     names a numeric column returned as ``Dataset.y`` instead of a feature.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"cannot read CSV {path}: {e}") from e
+    if not table:
+        raise DataError(f"{path}: empty file")
+    header, *rows = table
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -413,7 +411,7 @@ def read_csv(
 
 def _coerce_number(cell: str, name: str, row: int) -> float:
     v = _parse_float(cell)
-    if v is None or not np.isfinite(v):
+    if v is None or not math.isfinite(v):
         raise DataError(f"column {name!r}, row {row}: cell {cell!r} is not a finite number")
     return v
 

@@ -128,6 +128,71 @@ class LayerwiseAdam:
 
 
 # ----------------------------------------------------------------------
+# The three MSE-type losses and the VAE objective as they were written
+# before the shared weighted-MSE kernel (each loss re-checks its batch's
+# 0/1 targets and selects its weights per call). The kernel, its public
+# wrappers and the training loops must match these bit for bit.
+# ----------------------------------------------------------------------
+
+def frozen_mse_loss(pred, target):
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    diff = target - pred
+    scale = 1.0 / diff.size
+    value = float(np.sum(diff * diff) * scale)
+    grad = (2.0 * scale) * (pred - target)
+    return value, grad
+
+
+def frozen_balanced_mse_loss(pred, target, weights):
+    from mixedae.errors import NonBinaryTarget
+
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    cat = target[:, weights.is_categorical]
+    if not np.all((cat == 0.0) | (cat == 1.0)):
+        raise NonBinaryTarget("categorical target entries must be exactly 0 or 1")
+    w = np.where(target == 1.0, weights.w_one, weights.w_zero)
+    diff = target - pred
+    scale = 1.0 / diff.size
+    value = float(np.sum(w * diff * diff) * scale)
+    grad = (2.0 * scale) * w * (pred - target)
+    return value, grad
+
+
+def frozen_blended_loss(alpha, pred, target, weights):
+    v1, g1 = frozen_mse_loss(pred, target)
+    v2, g2 = frozen_balanced_mse_loss(pred, target, weights)
+    return alpha * v1 + (1.0 - alpha) * v2, alpha * g1 + (1.0 - alpha) * g2
+
+
+def frozen_loss_fn(spec, weights, groups):
+    """The per-arm loss dispatch of the training loops, on the frozen losses."""
+    from mixedae.losses import cross_entropy_loss
+
+    if spec.kind == "standard":
+        return frozen_mse_loss
+    if spec.kind == "balanced":
+        return lambda p, t: frozen_balanced_mse_loss(p, t, weights)
+    if spec.kind == "blended":
+        return lambda p, t: frozen_blended_loss(spec.alpha, p, t, weights)
+    return lambda p, t: cross_entropy_loss(p, t, groups)
+
+
+def frozen_vae_loss(x_pred, x_true, y_pred, y_true, mu, logvar, weights, loss):
+    width = x_pred.shape[1]
+    vx, gx = frozen_loss_fn(loss, weights, None)(x_pred, x_true)
+    vx, gx = vx * width, gx * width
+    vy, gy = frozen_mse_loss(y_pred, y_true)
+    B = mu.shape[0]
+    ev = np.exp(logvar)
+    kl = float(-0.5 * np.sum(1.0 + logvar - mu * mu - ev) / B)
+    g_mu = mu / B
+    g_logvar = 0.5 * (ev - 1.0) / B
+    return vx + vy + kl, (gx, gy, g_mu, g_logvar)
+
+
+# ----------------------------------------------------------------------
 # Per-arm training loops: one network pair (AE) or one set of six
 # networks (VAE) per loss, trained on its own. The lockstep training of
 # stacked arms must match these bit for bit.
@@ -146,7 +211,7 @@ def chained_autoencoder_budgets(train, cfg, budgets, weights=None):
     if cfg.loss.needs_weights and weights is None:
         weights = compute_balance_weights(enc)
     groups = enc.categorical_groups()
-    loss_fn = models._loss_fn(cfg.loss, weights, groups)
+    loss_fn = frozen_loss_fn(cfg.loss, weights, groups)
     use_adapter = cfg.loss.kind != "ce"
     span = models.OUT_HIGH - models.OUT_LOW
 
@@ -215,7 +280,7 @@ def separate_vae(train, y, cfg, weights=None):
             t3 = nn.forward(nets.hl3, z)
             t_x = nn.forward(nets.hl41, t3.output)
             t_y = nn.forward(nets.hl42, t3.output)
-            last_value, (gx, gy, g_mu_kl, g_lv_kl) = models.vae_loss(
+            last_value, (gx, gy, g_mu_kl, g_lv_kl) = frozen_vae_loss(
                 t_x.output, xb, t_y.output, yb, mu, logvar, weights, cfg.loss
             )
             g41 = nn.backward(nets.hl41, t_x, gx)

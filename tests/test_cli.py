@@ -86,6 +86,14 @@ class TestConfig:
         assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["directory", "missing"])
+    def test_unreadable_config_path_exits_2(self, tmp_path, capsys, where):
+        path = tmp_path if where == "directory" else tmp_path / "absent.ini"
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert run_cli("experiment", "--config", str(path), "--dry-run") == 2
+        assert "config error" in capsys.readouterr().err
+
 
 SECTIONS = sorted(DEFAULTS) + ["DEFAULT", "nope", ""]
 KEYS = sorted({k for values in DEFAULTS.values() for k in values}) + ["bogus"]
@@ -188,6 +196,22 @@ class TestTrain:
         )
         assert run_cli("train", "--config", str(cfg)) == 3
         assert "row 11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["non-utf8", "directory"])
+    def test_unreadable_csv_exit_code(self, tmp_path, capsys, where):
+        data = tmp_path / "d.csv"
+        if where == "directory":
+            data.mkdir()
+        else:
+            rows = b"".join(b"%d.0,%s\n" % (i, b"u\xff" if i % 2 else b"v") for i in range(10))
+            data.write_bytes(b"a,q\n" + rows)
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {data}\n"
+            f"[train]\nepochs = 5\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("train", "--config", str(cfg)) == 3
+        assert "cannot read CSV" in capsys.readouterr().err
 
     def test_vae_train(self, tmp_path):
         cfg = tmp_path / "train.ini"

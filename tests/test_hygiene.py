@@ -45,3 +45,71 @@ def test_scanner_sees_attribute_and_annotation_use():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+ROOT = PACKAGE.parents[1]
+SEARCHED = ("src", "tests", "demos", "perfbench")
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """Top-level functions and classes, and the methods of top-level
+    classes; dunder methods are called by Python itself and left out."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return found
+
+
+def references(source: str) -> set[str]:
+    """Names read, attributes accessed, names imported and the dotted parts
+    of string constants (the benchmark's tracer names functions as text)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(node.value.split("."))
+    return refs
+
+
+def test_dead_code_scanner():
+    source = (
+        "import os\n"
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "def f(): return A().used()\n"
+        "def g(): return os\n"
+    )
+    refs = references(source + "f()\nTRACED = ('g',)\n")
+    assert [name for name, _ in definitions(source) if name not in refs] == ["unused"]
+
+
+def test_every_definition_is_referenced():
+    refs = set().union(
+        *(
+            references(path.read_text(encoding="utf-8"))
+            for folder in SEARCHED
+            for path in sorted((ROOT / folder).rglob("*.py"))
+        )
+    )
+    dead = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in definitions(path.read_text(encoding="utf-8"))
+        if name not in refs
+    ]
+    assert dead == []

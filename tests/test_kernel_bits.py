@@ -1,5 +1,6 @@
 """The metric and proxy kernels give the same bits as the np.unique /
-np.add.at / full-matrix / masked-sigmoid versions kept in ``oracles``."""
+np.add.at / full-matrix / masked-sigmoid versions kept in ``oracles``, and
+the weighted-MSE kernel the same bits as the three loss paths it replaced."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from mixedae import experiments, metrics
 from mixedae.errors import MixedAEError
+from mixedae.losses import LossWeights, _weighted_mse, balanced_mse_loss, blended_loss, mse_loss
+from mixedae.models import parse_loss, vae_loss
 from oracles import (
+    frozen_balanced_mse_loss,
+    frozen_blended_loss,
+    frozen_mse_loss,
+    frozen_vae_loss,
     full_matrix_silhouette,
     masked_confusion_counts,
     masked_logistic_fit,
@@ -220,3 +227,98 @@ class TestLogistic:
         coef, intercept = masked_logistic_fit(X, y, steps)
         assert identical(model.coef, coef)
         assert identical(model.intercept, intercept) and type(model.intercept) is float
+
+
+@st.composite
+def loss_batches(draw, max_side=300):
+    """(pred, target, weights): 0/1 categorical and [0, 1] numeric targets,
+    predictions with exact-equal and signed-zero entries, unit or drawn weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, p = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    is_cat = rng.random(p) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    target = np.where(is_cat, (rng.random((b, p)) < 0.2).astype(float), rng.random((b, p)))
+    pred = rng.normal(0.5, 0.5, (b, p))
+    equal = rng.random((b, p)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    pred[equal] = target[equal]
+    zeros = rng.random((b, p)) < draw(st.sampled_from([0.0, 0.2]))
+    pred[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    target[zeros & (rng.random((b, p)) < 0.5)] = -0.0
+    if draw(st.booleans()):
+        weights = LossWeights.unit(p, is_cat)
+    else:
+        weights = LossWeights(rng.uniform(0.1, 30.0, p), rng.uniform(0.1, 30.0, p), is_cat)
+    return pred, target, weights
+
+
+def assert_loss_same(got, expected):
+    assert type(got[0]) is float and identical(got[0], expected[0])
+    assert identical(got[1], expected[1])
+
+
+class TestWeightedMse:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=loss_batches(), alpha=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_wrappers_match_frozen_losses(self, batch, alpha):
+        pred, target, weights = batch
+        before = pred.copy(), target.copy()
+        assert_loss_same(mse_loss(pred, target), frozen_mse_loss(pred, target))
+        assert_loss_same(
+            balanced_mse_loss(pred, target, weights), frozen_balanced_mse_loss(pred, target, weights)
+        )
+        assert_loss_same(
+            blended_loss(alpha, pred, target, weights),
+            frozen_blended_loss(alpha, pred, target, weights),
+        )
+        assert identical(pred, before[0]) and identical(target, before[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batch=loss_batches(),
+        batch_size=st.integers(1, 300),
+        alpha=st.sampled_from([None, 0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weight_table_rows_in_place_match_frozen(self, batch, batch_size, alpha, seed):
+        """A fit selects the weights of its whole training matrix once and
+        each batch, the short last one included, gathers its rows."""
+        pred, target, weights = batch
+        table = weights.select(target)
+        order = np.random.default_rng(seed).permutation(len(target))
+        for start in range(0, len(target), batch_size):
+            idx = order[start : start + batch_size]
+            buf = pred[idx]
+            value, grad = _weighted_mse(buf, target[idx], table[idx], alpha, out=buf)
+            assert grad is buf
+            if alpha is None:
+                expected = frozen_balanced_mse_loss(pred[idx], target[idx], weights)
+            else:
+                expected = frozen_blended_loss(alpha, pred[idx], target[idx], weights)
+            assert_loss_same((value, grad), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=loss_batches(max_side=40),
+        loss=st.sampled_from(["standard", "balanced", "blended:0.3"]),
+        rows=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vae_loss_into_head_buffers_matches_frozen(self, batch, loss, rows, seed):
+        """With LossWeights or a weight table's rows, into fresh arrays or
+        over the prediction buffers as the training loop does."""
+        x_pred, x_true, weights = batch
+        rng = np.random.default_rng(seed)
+        b = len(x_true)
+        y_pred, y_true = rng.random((2, b, 1))
+        mu, logvar = rng.normal(size=(2, b, 3))
+        spec = parse_loss(loss)
+        expected = frozen_vae_loss(x_pred, x_true, y_pred, y_true, mu, logvar, weights, spec)
+        w = weights.select(x_true) if rows else weights
+        gx_buf, gy_buf = x_pred.copy(), y_pred.copy()
+        x_pred = x_pred.copy()  # the public call must leave its inputs alone
+        for got in (
+            vae_loss(x_pred, x_true, y_pred, y_true, mu, logvar, w, spec),
+            vae_loss(gx_buf, x_true, gy_buf, y_true, mu, logvar, w, spec, out=(gx_buf, gy_buf)),
+        ):
+            assert type(got[0]) is float and identical(got[0], expected[0])
+            assert all(identical(g, ref) for g, ref in zip(got[1], expected[1]))
+        assert identical(gx_buf, expected[1][0]) and identical(x_pred, batch[0])

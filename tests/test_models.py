@@ -64,6 +64,8 @@ class TestParseLoss:
             parse_loss("blended:1.5")
         with pytest.raises(errors.ConfigError):
             parse_loss("blended:x")
+        with pytest.raises(errors.ConfigError):  # only blended mixes in an alpha
+            models.LossSpec("balanced", 0.3)
 
 
 class TestBuildAutoencoder:
@@ -196,6 +198,21 @@ class TestLockstepArms:
             for a, b in zip(got.nets.all(), nets.all()):
                 assert a.params.ndim == 1 and np.array_equal(a.params, b.params)
             assert np.array_equal(got.loss_checkpoints, history)
+
+    def test_non_binary_target_raised_before_first_step(self, synthetic_split, monkeypatch):
+        train, _, enc = synthetic_split
+        values = encode(train, enc).values.copy()
+        values[-1, next(j for j, f in enumerate(enc.features) if f.category is not None)] = 0.5
+        X = EncodedMatrix(values, enc)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(models, "forward", no_step)
+        with pytest.raises(errors.NonBinaryTarget):
+            models.train_autoencoder_arms(X, AutoencoderConfig(), ("standard", "balanced"), (3,))
+        with pytest.raises(errors.NonBinaryTarget):
+            models.train_vae_arms(X, train.y, VAEConfig(), ("standard", "blended:0.3"))
 
     def test_no_arms_rejected(self, synthetic_split):
         train, _, enc = synthetic_split

@@ -337,3 +337,41 @@ def test_round_trip_property(n, seed):
     except (errors.EmptyCategory, errors.ConstantNumeric):
         return
     assert decode(encode(d, enc), enc).equals(d, numeric_tol=1e-12)
+
+
+class TestReadCsvFailures:
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\n1,x\n2,\xff\n")
+        with pytest.raises(errors.DataError, match="cannot read CSV"):
+            read_csv(p)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(errors.DataError, match="cannot read CSV"):
+            read_csv(tmp_path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(errors.DataError, match="cannot read CSV"):
+            read_csv(tmp_path / "absent.csv")
+
+
+csv_cells = st.sampled_from(["1", "2.5", "-0", "x", "y", "nan", "", '"', "a,b", "y\n"])
+csv_rows = st.lists(csv_cells | st.text(max_size=4), min_size=1, max_size=4).map(",".join)
+csv_texts = st.lists(csv_rows, max_size=6).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    content=st.one_of(st.binary(max_size=64), st.text(max_size=64), csv_texts),
+    target=st.sampled_from([None, "y", "1"]),
+    with_schema=st.booleans(),
+)
+def test_read_csv_loads_or_raises_typed_error(tmp_path_factory, content, target, with_schema):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(content.encode("utf-8", "surrogatepass") if isinstance(content, str) else content)
+    try:
+        data = read_csv(path, small_schema() if with_schema else None, target=target)
+    except errors.MixedAEError:
+        return
+    assert all(len(column) == data.n for column in data.columns.values())
+    assert data.y is None or len(data.y) == data.n
