@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import sys
 from pathlib import Path
@@ -274,11 +275,9 @@ def cmd_report(args) -> int:
     for (epochs, loss, metric), (mean, std) in agg.items():
         print(f"{epochs:>7}  {loss:<14} {metric:<16} {mean:>12.6g} {std:>12.6g}")
     if args.plot_data:
-        import csv as _csv
-
         cells = sorted(agg.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
         with open(args.plot_data, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["metric", "epochs", "loss", "mean", "std"])
             for (epochs, loss, metric), (mean, std) in cells:
                 writer.writerow([metric, epochs, loss, repr(mean), repr(std)])

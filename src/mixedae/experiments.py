@@ -285,20 +285,19 @@ class ExperimentReport:
 
 
 def load_report_csv(path: str | Path) -> ExperimentReport:
+    """Read ``report.csv``; an unreadable or malformed file raises :class:`DataError`."""
     rows = []
     context = ""
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            context = rec["context"]
-            rows.append(
-                ReportRow(
-                    run=int(rec["run"]),
-                    epochs=int(rec["epochs"]),
-                    loss=rec["loss"],
-                    metric=rec["metric"],
-                    value=float(rec["value"]),
-                )
-            )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for rec in csv.DictReader(fh):
+                if None in rec.values():
+                    raise ValueError(f"data row {len(rows) + 1} has too few cells")
+                context = rec["context"]
+                run, epochs, value = int(rec["run"]), int(rec["epochs"]), float(rec["value"])
+                rows.append(ReportRow(run, epochs, rec["loss"], rec["metric"], value))
+    except (OSError, ValueError, KeyError, csv.Error) as e:  # non-UTF-8 is a ValueError
+        raise DataError(f"cannot read report {path}: {e!r}") from e
     return ExperimentReport(context, rows)
 
 

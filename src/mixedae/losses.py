@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
+    ConfigError,
     DegenerateCategory,
     NonBinaryTarget,
     ShapeError,
@@ -104,6 +105,13 @@ def compute_balance_weights(enc: EncoderState) -> LossWeights:
     return LossWeights(w1, w0, is_cat)
 
 
+def _select(weights: LossWeights | np.ndarray | None, target: np.ndarray) -> np.ndarray:
+    """Per-entry weights of ``target``; rows of a selected table pass through."""
+    if weights is None:
+        raise ConfigError("a weighted loss needs its LossWeights, got None")
+    return weights if isinstance(weights, np.ndarray) else weights.select(target)
+
+
 def _check_shapes(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -152,7 +160,7 @@ def balanced_mse_loss(
     weight selector ambiguous.
     """
     pred, target = _check_shapes(pred, target)
-    return _weighted_mse(pred, target, weights.select(target))
+    return _weighted_mse(pred, target, _select(weights, target))
 
 
 def blended_loss(
@@ -162,7 +170,7 @@ def blended_loss(
     if not 0.0 <= alpha <= 1.0:
         raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
     pred, target = _check_shapes(pred, target)
-    return _weighted_mse(pred, target, weights.select(target), alpha)
+    return _weighted_mse(pred, target, _select(weights, target), alpha)
 
 
 def cross_entropy_loss(

@@ -124,15 +124,14 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.size < 2:
         raise LengthMismatch("need two equal-length vectors of size >= 2")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    sx = np.sum(dx * dx)
-    sy = np.sum(dy * dy)
+    # n average ranks sum exactly to n(n + 1)/2; add.reduce keeps np.sum's bits
+    mean = (x.size + 1) / 2.0
+    dx = _average_ranks(x) - mean
+    dy = _average_ranks(y) - mean
+    sx, sy = np.add.reduce(dx * dx), np.add.reduce(dy * dy)
     if sx == 0.0 or sy == 0.0:
         raise ZeroVariance("rank vector is constant")
-    return float(np.sum(dx * dy) / np.sqrt(sx * sy))
+    return float(np.add.reduce(dx * dy) / np.sqrt(sx * sy))
 
 
 def cramers_v(a: np.ndarray, b: np.ndarray) -> float:
@@ -148,8 +147,8 @@ def cramers_v(a: np.ndarray, b: np.ndarray) -> float:
         raise DegenerateTable("both variables need >= 2 observed categories")
     n = a.size
     table = np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
-    expected = np.outer(ra, cb) / n
-    chi2 = float(np.sum((table - expected) ** 2 / expected))
+    expected = ra[:, None] * cb / n
+    chi2 = float(np.add.reduce((table - expected) ** 2 / expected, axis=None))
     return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
 
 
@@ -162,13 +161,13 @@ def eta_squared(x: np.ndarray, g: np.ndarray) -> float:
     gi, counts = _levels(g)
     if counts.size < 2:
         raise EmptyGroup("need at least 2 non-empty groups")
-    total = x - x.mean()
-    sst = float(np.sum(total * total))
+    mean = np.add.reduce(x, axis=None) / x.size  # the bits of x.mean()
+    total = x - mean
+    sst = float(np.add.reduce(total * total, axis=None))
     if sst == 0.0:
         raise ZeroVariance("x has zero total variance")
-    means = np.bincount(gi, weights=x.ravel()) / counts
-    ssb = float(np.sum(counts * (means - x.mean()) ** 2))
-    return ssb / sst
+    between = np.bincount(gi, weights=x.ravel()) / counts - mean
+    return float(np.add.reduce(counts * (between * between))) / sst
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +272,30 @@ def msem(
 # Clustering quality and ranking
 # ----------------------------------------------------------------------
 
+_STRIP = 32  # rows of the distance matrix per strip
+
+
+def _pairwise_sum(term, lo: int, hi: int):
+    """term(lo) + ... + term(hi - 1) in numpy's pairwise add-reduce order, so bit
+    for bit np.sum over a stacked last axis (save that np.sum makes -0.0 0.0).
+    The terms must be fresh arrays: they are added to in place."""
+    n = hi - lo
+    if n > 128:  # two halves, the first a multiple of 8 long
+        mid = lo + n // 2 - n // 2 % 8
+        return _pairwise_sum(term, lo, mid) + _pairwise_sum(term, mid, hi)
+    if n < 8:
+        res, end = (term(lo) if n else 0.0), min(lo + 1, hi)
+    else:  # eight running sums of every eighth term, added as a tree
+        r = [term(k) for k in range(lo, lo + 8)]
+        end = hi - n % 8
+        for k in range(lo + 8, end):
+            r[(k - lo) % 8] += term(k)
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for k in range(end, hi):  # the rest, left to right
+        res += term(k)
+    return res
+
+
 def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette with Euclidean distances; singleton points score 0."""
     points = np.asarray(points, dtype=np.float64)
@@ -287,17 +310,16 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     if k < 2:
         raise SingleCluster("need at least 2 clusters")
 
-    # direct differences, chunked over rows: the |x|^2 + |y|^2 - 2xy form
-    # loses ~1e-10 relative precision for well-separated clusters. Blocks on
-    # and above the diagonal only, mirrored: (a - b)^2 == (b - a)^2 exactly.
+    # direct differences (|x|^2 + |y|^2 - 2xy loses ~1e-10 relative precision
+    # for separated clusters), one dimension at a time in np.sum's order, in
+    # strips of rows on and above the diagonal, mirrored: (a-b)^2 == (b-a)^2.
+    coords = points.T.copy()
     dist = np.empty((n, n))
-    step = max(1, 2**22 // max(1, n * points.shape[1]))
-    for start in range(0, n, step):
-        block = points[start : start + step, None, :] - points[None, start:, :]
-        block *= block
-        upper = np.sqrt(np.sum(block, axis=2))
-        dist[start : start + step, start:] = upper
-        dist[start:, start : start + step] = upper.T
+    for start in range(0, n, _STRIP):
+        rows, cols = coords[:, start : start + _STRIP, None], coords[:, None, start:]
+        upper = np.sqrt(_pairwise_sum(lambda k: np.square(rows[k] - cols[k]), 0, len(coords)))
+        dist[start : start + _STRIP, start:] = upper
+        dist[start:, start : start + _STRIP] = upper.T
 
     onehot = np.zeros((n, k))
     onehot[np.arange(n), li] = 1.0

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn, tabular
 from .errors import ConfigError, ConstantNumeric, DegenerateWidth, NonFinite, ShapeError
-from .losses import LossWeights, _weighted_mse, compute_balance_weights, cross_entropy_loss
+from .losses import LossWeights, _select, _weighted_mse, compute_balance_weights, cross_entropy_loss
 from .nn import Network, adam_step, backward, forward
 from .rng import derive_seed, gaussian, make_rng
 from .tabular import Dataset, EncodedMatrix, EncoderState, encode, decode
@@ -383,10 +383,7 @@ def vae_loss(
     """
     if mu.shape != logvar.shape or x_pred.shape != x_true.shape or y_pred.shape != y_true.shape:
         raise ShapeError("mu and logvar, and each prediction and its target, must share a shape")
-    if not loss.needs_weights:
-        weights = None
-    elif not isinstance(weights, np.ndarray):
-        weights = weights.select(x_true)
+    weights = _select(weights, x_true) if loss.needs_weights else None
     out_x, out_y = out or (None, None)
     width = x_pred.shape[1]
     vx, gx = _weighted_mse(x_pred, x_true, weights, loss.alpha, out=out_x)

@@ -1,5 +1,7 @@
 """End-to-end command-line tests."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedae.cli import DEFAULTS, dump_config, load_config, main
+from mixedae.experiments import load_report_csv
 from mixedae.errors import ConfigError, MixedAEError
 
 
@@ -316,3 +319,51 @@ class TestReport:
     def test_missing_file(self, capsys):
         assert run_cli("report", "/nonexistent/report.csv") == 3
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"run,context,epochs,metric,value\n0,x,10,msem,0.5\n", "KeyError"),
+            (b"run,context,epochs,loss,metric,value\n0,x,abc,standard,msem,0.5\n", "ValueError"),
+            (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem,0.5\xff\n", "UnicodeDecodeError"),
+            (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem\n", "too few cells"),
+        ],
+        ids=["missing-column", "bad-epochs", "non-utf8", "short-row"],
+    )
+    def test_malformed_file_is_a_data_error(self, tmp_path, capsys, content, error):
+        path = tmp_path / "report.csv"
+        path.write_bytes(content)
+        assert run_cli("report", str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and error in err
+
+    def test_directory_is_a_data_error(self, tmp_path, capsys):
+        assert run_cli("report", str(tmp_path)) == 3
+        assert "IsADirectoryError" in capsys.readouterr().err
+
+
+HEADER = "run,context,epochs,loss,metric,value"
+report_cells = st.sampled_from(["0", "10", "-1", "1e3", "nan", "x", "", '"a,b"', "msem", "0.25"])
+report_files = st.one_of(
+    st.binary(),
+    st.text(),
+    st.tuples(
+        st.sampled_from([HEADER, HEADER.replace("loss", "los"), "value,run,epochs,context,loss,metric"]),
+        st.lists(st.lists(report_cells, max_size=8).map(",".join), max_size=5),
+    ).map(lambda t: "\n".join([t[0], *t[1]])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=report_files)
+def test_report_loads_or_raises_typed_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz-report.csv"
+    path.write_bytes(content.encode("utf-8", "surrogatepass") if isinstance(content, str) else content)
+    try:
+        report = load_report_csv(path)
+    except MixedAEError:
+        report = None
+    else:
+        assert all(isinstance(v, str) for r in report.rows for v in (r.loss, r.metric))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli("report", str(path)) == (3 if report is None else 0)

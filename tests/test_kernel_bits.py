@@ -2,6 +2,8 @@
 np.add.at / full-matrix / masked-sigmoid versions kept in ``oracles``, and
 the weighted-MSE kernel the same bits as the three loss paths it replaced."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,14 @@ class TestStatistics:
         assert_same(metrics.eta_squared, unique_eta_squared, x, g)
         assert_same(metrics.rank_auc, unique_rank_auc, g > 0, x)
 
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_spearman_large_n_heavy_ties(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 4, n).astype(np.float64)
+        y = np.round(rng.normal(size=n) + x, 1)  # about 100 distinct values
+        assert_same(metrics.spearman, unique_spearman, x, y)
+        assert_same(metrics.spearman, unique_spearman, x, rng.integers(0, 2, n))
+
     def test_length_mismatch_raises_alike(self):
         for kernel, reference in [
             (metrics.spearman, unique_spearman),
@@ -202,6 +212,40 @@ class TestSilhouette:
         labels = rng.integers(0, 4, n)
         labels[:3] = 9  # a small cluster
         assert_same(metrics.silhouette, full_matrix_silhouette, points, labels)
+
+
+    @pytest.mark.parametrize("d", [7, 8, 9, 16, 17, 128, 129, 294])
+    def test_matches_full_matrix_across_the_sum_orders(self, d):
+        # below 8, 8 to 128 and above 128 dimensions numpy sums differently;
+        # 100 rows take four strips of the distance matrix
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(100, d)) * rng.lognormal(size=d) + rng.integers(0, 3, (100, 1))
+        labels = rng.integers(0, 3, 100)
+        assert_same(metrics.silhouette, full_matrix_silhouette, points, labels)
+
+    def test_peak_memory_below_two_distance_matrices(self):
+        # the distance matrix is 11.5 MB; a rows x n x d block would add up to 32 MB
+        n, d = 1200, 33
+        rng = np.random.default_rng(0)
+        points, labels = rng.normal(size=(n, d)), rng.integers(0, 4, n)
+        tracemalloc.start()
+        try:
+            metrics.silhouette(points, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("width", [*range(1, 301), 513])
+    def test_matches_numpy_sum(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.normal(size=(6, width)) * rng.lognormal(0.0, 4.0, size=(6, width))
+        a[5] = rng.choice([-1.0, 1.0], width) * 1e308  # overflows in some orders only
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = metrics._pairwise_sum(lambda k: a[:, k].copy(), 0, width)
+            assert identical(got, np.sum(a, axis=-1))
 
 
 class TestLogistic:

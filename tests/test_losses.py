@@ -245,6 +245,21 @@ class TestBlendedLoss:
             blended_loss(1.5, self.p, self.t, self.w)
 
 
+class TestMissingWeights:
+    """A weighted loss called without its LossWeights raises a ConfigError
+    that names them, not an AttributeError on None."""
+
+    x = np.eye(3)
+
+    def test_balanced(self):
+        with pytest.raises(errors.ConfigError, match="LossWeights"):
+            balanced_mse_loss(self.x, self.x, None)
+
+    def test_blended(self):
+        with pytest.raises(errors.ConfigError, match="LossWeights"):
+            blended_loss(0.3, self.x, self.x, None)
+
+
 class TestCrossEntropyLoss:
     def test_uniform_logits(self):
         # equal logits over 4 categories: CE = ln 4 per row and variable

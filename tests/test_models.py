@@ -354,6 +354,11 @@ class TestVaeLoss:
         )
         assert value == pytest.approx(0.5, abs=1e-12)
 
+    def test_weighted_loss_without_weights_is_a_config_error(self):
+        x, y, z = np.eye(3), np.zeros((3, 1)), np.zeros((3, 2))
+        with pytest.raises(errors.ConfigError, match="LossWeights"):
+            vae_loss(x, x, y, y, z, z, None, parse_loss("balanced"))
+
     def test_gradients_match_finite_differences(self):
         rng = make_rng(4)
         x_pred = rng.random((2, 3))
