@@ -30,5 +30,5 @@ for name in ("Q1", "Q3", "Q5"):
 train, test = split(data, test_fraction=0.4, seed=7)
 print(f"\nsplit: {train.n} train / {test.n} test rows")
 
-write_csv(data, "/tmp/mixedae_demo_synthetic.csv")
-print("wrote /tmp/mixedae_demo_synthetic.csv")
+write_csv(data, "mixedae_demo_synthetic.csv")
+print("wrote mixedae_demo_synthetic.csv in the working directory")

@@ -39,7 +39,6 @@ from .models import (
     reparameterize,
     train_autoencoder,
     train_autoencoder_arms,
-    train_autoencoder_budgets,
     train_vae,
     train_vae_arms,
     vae_generate,

@@ -12,14 +12,27 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from . import experiments, models, nn, tabular
+from . import experiments, models, tabular
 from .errors import ConfigError, DataError, MixedAEError, NumericalError
 from .experiments import DataSource, ExperimentConfig
-from .models import AutoencoderConfig, VAEConfig, parse_loss
+from .models import AutoencoderConfig, VAEConfig
+
+# [experiment] model -> the config class, filled from the section of the same name
+MODEL_CONFIGS = {"autoencoder": AutoencoderConfig, "vae": VAEConfig}
+
+
+def _defaults(cls, *keys: str) -> dict[str, str]:
+    """A config section of ``cls``'s fields ``keys``, each at its default;
+    a tuple default as a comma list."""
+    default = cls()
+    values = {key: getattr(default, key) for key in keys}
+    return {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in values.items()}
+
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "data": {
@@ -33,31 +46,13 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "experiment": {
         "model": "autoencoder",
-        "task": "regression",
-        "runs": "5",
-        "test_fraction": "0.4",
-        "epochs": "1000",
-        "losses": "standard,balanced",
-        "seed": "0",
-        "clusters": "4",
+        **_defaults(
+            ExperimentConfig, "task", "runs", "test_fraction", "epochs", "losses", "seed", "clusters"
+        ),
     },
-    "autoencoder": {
-        "dim_z": "10",
-        "batch_size": "128",
-        "learning_rate": "0.0001",
-    },
-    "vae": {
-        "dim_hidden": "20",
-        "dim_z": "10",
-        "batch_size": "256",
-        "learning_rate": "0.001",
-        "epochs": "1000",
-    },
-    "train": {
-        "loss": "standard",
-        "epochs": "1000",
-        "seed": "0",
-    },
+    "autoencoder": _defaults(AutoencoderConfig, "dim_z", "batch_size", "learning_rate"),
+    "vae": _defaults(VAEConfig, "dim_hidden", "dim_z", "batch_size", "learning_rate", "epochs"),
+    "train": {"loss": "standard", **_defaults(AutoencoderConfig, "epochs", "seed")},  # as the VAE's
     "output": {
         "dir": "out",
         "jobs": "1",
@@ -110,67 +105,72 @@ def dump_config(cfg: dict[str, dict[str, str]]) -> str:
     return "\n".join(lines)
 
 
-def _int(cfg, section, key) -> int:
+_NOUNS = {int: "an integer", float: "a number"}
+
+
+def _parse(cfg, section: str, key: str, like):
+    """``[section] key`` as the type of ``like``; for a tuple, as a comma
+    list of its first item's type."""
+    text = cfg[section][key]
+    kind = type(like[0]) if isinstance(like, tuple) else type(like)
     try:
-        return int(cfg[section][key])
+        if isinstance(like, tuple):
+            return tuple(kind(t.strip()) for t in text.split(",") if t.strip())
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer") from None
+        noun = f"a comma list of {kind.__name__} values" if isinstance(like, tuple) else _NOUNS[kind]
+        raise ConfigError(f"[{section}] {key} must be {noun}") from None
 
 
-def _float(cfg, section, key) -> float:
-    try:
-        return float(cfg[section][key])
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number") from None
+def _dataclass(cfg, section: str, cls, **fields):
+    """``cls(**fields)`` plus every other key of ``section`` that names a
+    field of ``cls``, parsed as the type of that field's default."""
+    default = cls()
+    for f in dataclasses.fields(cls):
+        if f.name in cfg[section] and f.name not in fields:
+            fields[f.name] = _parse(cfg, section, f.name, getattr(default, f.name))
+    return cls(**fields)
 
 
-def _vae_config(cfg, **fields) -> VAEConfig:
-    """A VAEConfig from the [vae] section's network and optimizer keys, plus ``fields``."""
-    keys = {"dim_hidden": _int, "dim_z": _int, "batch_size": _int, "learning_rate": _float}
-    return VAEConfig(**{key: parse(cfg, "vae", key) for key, parse in keys.items()}, **fields)
-
-
-def _number_list(text: str, what: str, kind=int) -> tuple:
-    try:
-        return tuple(kind(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise ConfigError(f"{what} must be a comma list of {kind.__name__} values") from None
+def _model(cfg) -> str:
+    model = cfg["experiment"]["model"]
+    if model not in MODEL_CONFIGS:
+        raise ConfigError(f"[experiment] model must be one of {tuple(MODEL_CONFIGS)}, got {model!r}")
+    return model
 
 
 def _source_from_config(cfg) -> DataSource:
     data = cfg["data"]
-    if data["source"] == "synthetic":
-        coeffs = _number_list(data["coeffs"], "[data] coeffs", float)
-        return DataSource(
-            kind="synthetic", context=data["context"], n=_int(cfg, "data", "n"), coeffs=coeffs
-        )
-    if data["source"] == "csv":
-        if not data["csv_path"]:
-            raise ConfigError("[data] csv_path is required when source = csv")
-        return DataSource(
-            kind="csv",
-            path=data["csv_path"],
-            schema_path=data["schema_path"] or None,
-            target=data["target"] or None,
-        )
-    raise ConfigError(f"[data] source must be synthetic or csv, got {data['source']!r}")
+    if data["source"] not in ("synthetic", "csv"):
+        raise ConfigError(f"[data] source must be synthetic or csv, got {data['source']!r}")
+    if data["source"] == "csv" and not data["csv_path"]:
+        raise ConfigError("[data] csv_path is required when source = csv")
+    return _dataclass(
+        cfg,
+        "data",
+        DataSource,
+        kind=data["source"],
+        path=data["csv_path"] or None,
+        schema_path=data["schema_path"] or None,
+        target=data["target"] or None,
+    )
+
+
+def _override(cfg, section: str, **flags) -> None:
+    """Set the keys of ``section`` whose command-line flag was given."""
+    for key, value in flags.items():
+        if value is not None:
+            cfg[section][key] = str(value)
 
 
 def _experiment_from_config(cfg) -> ExperimentConfig:
-    exp = cfg["experiment"]
-    return ExperimentConfig(
+    return _dataclass(
+        cfg,
+        "experiment",
+        ExperimentConfig,
         source=_source_from_config(cfg),
-        task=exp["task"],
-        runs=_int(cfg, "experiment", "runs"),
-        test_fraction=_float(cfg, "experiment", "test_fraction"),
-        epochs=_number_list(exp["epochs"], "[experiment] epochs"),
-        losses=tuple(t.strip() for t in exp["losses"].split(",") if t.strip()),
-        dim_z=_int(cfg, "autoencoder", "dim_z"),
-        batch_size=_int(cfg, "autoencoder", "batch_size"),
-        learning_rate=_float(cfg, "autoencoder", "learning_rate"),
-        seed=_int(cfg, "experiment", "seed"),
-        clusters=_int(cfg, "experiment", "clusters"),
-        vae=_vae_config(cfg, epochs=_int(cfg, "vae", "epochs")),
+        ae=_dataclass(cfg, "autoencoder", AutoencoderConfig),
+        vae=_dataclass(cfg, "vae", VAEConfig),
     )
 
 
@@ -190,73 +190,54 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = str(args.seed)
-    if args.epochs is not None:
-        cfg["train"]["epochs"] = args.epochs
-    if args.loss is not None:
-        cfg["train"]["loss"] = args.loss
+    _override(cfg, "train", seed=args.seed, epochs=args.epochs, loss=args.loss)
     out_dir = Path(args.out or cfg["output"]["dir"])
+    kind = _model(cfg)
 
-    source = _source_from_config(cfg)
-    data = experiments.load_source(source, _int(cfg, "train", "seed"))
+    seed = _parse(cfg, "train", "seed", 0)
+    data = experiments.load_source(_source_from_config(cfg), seed)
     enc = tabular.fit_encoder(data)
     matrix = tabular.encode(data, enc)
-    loss = parse_loss(cfg["train"]["loss"])
+    fields = dict(epochs=_parse(cfg, "train", "epochs", 0), loss=cfg["train"]["loss"], seed=seed)
+    model_cfg = _dataclass(cfg, kind, MODEL_CONFIGS[kind], **fields)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg["experiment"]["model"] == "vae":
+    if kind == "vae":
         if data.y is None:
             raise DataError("training a VAE needs a target column")
-        vae_cfg = _vae_config(
-            cfg, epochs=_int(cfg, "train", "epochs"), loss=loss, seed=_int(cfg, "train", "seed")
-        )
-        model = models.train_vae(matrix, data.y, vae_cfg)
-        nets = model.nets.all()
-        header = {"kind": "vae", "loss": loss.label, "seed": vae_cfg.seed}
-        nn.write_networks(out_dir / "model.ckpt", nets, header)
-        print(f"trained VAE ({loss.label}); checkpoint in {out_dir}")
+        model = models.train_vae(matrix, data.y, model_cfg)
     else:
-        ae_cfg = AutoencoderConfig(
-            dim_z=_int(cfg, "autoencoder", "dim_z"),
-            epochs=_int(cfg, "train", "epochs"),
-            batch_size=_int(cfg, "autoencoder", "batch_size"),
-            learning_rate=_float(cfg, "autoencoder", "learning_rate"),
-            loss=loss,
-            seed=_int(cfg, "train", "seed"),
-        )
-        model = models.train_autoencoder(matrix, ae_cfg)
-        models.save_autoencoder(model, out_dir / "model.ckpt")
+        model = models.train_autoencoder(matrix, model_cfg)
         curves_path = out_dir / "curves.csv"
         curves_path.unlink(missing_ok=True)
         models.curves_to_csv(model.curves, curves_path)
-        print(f"trained autoencoder ({loss.label}); checkpoint and curves in {out_dir}")
+    models.save_model(model, out_dir / "model.ckpt")
+    name, written = ("VAE", "checkpoint") if kind == "vae" else ("autoencoder", "checkpoint and curves")
+    print(f"trained {name} ({model.config.loss.label}); {written} in {out_dir}")
     return 0
 
 
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["experiment"]["seed"] = str(args.seed)
-    if args.epochs is not None:
-        cfg["experiment"]["epochs"] = args.epochs
-    if args.loss is not None:
-        cfg["experiment"]["losses"] = args.loss
+    vae = _model(cfg) == "vae"
+    if vae and args.epochs is not None:
+        raise ConfigError("--epochs sets [experiment] epochs; the VAE trains for [vae] epochs")
+    _override(cfg, "experiment", seed=args.seed, epochs=args.epochs, losses=args.loss)
     exp_cfg = _experiment_from_config(cfg)
-    jobs = args.jobs if args.jobs is not None else _int(cfg, "output", "jobs")
+    jobs = args.jobs if args.jobs is not None else _parse(cfg, "output", "jobs", 0)
     if args.dry_run:
-        print(f"config ok: {exp_cfg.runs} runs x epochs {list(exp_cfg.epochs)} x "
+        budgets = [exp_cfg.vae.epochs] if vae else list(exp_cfg.epochs)
+        print(f"config ok: {exp_cfg.runs} runs x epochs {budgets} x "
               f"losses {list(exp_cfg.losses)} on {exp_cfg.source.label} ({exp_cfg.task})")
         return 0
 
     out_dir = Path(args.out or cfg["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg["experiment"]["model"] == "vae":
-        report = experiments.vae_experiment(exp_cfg, jobs=jobs)
-    else:
-        report = experiments.run_experiment(exp_cfg, jobs=jobs)
-        for f in (out_dir / "curves").glob("run_*.csv"):
-            f.unlink()
+    run = experiments.vae_experiment if vae else experiments.run_experiment
+    report = run(exp_cfg, jobs=jobs)
+    for f in (out_dir / "curves").glob("run_*.csv"):
+        f.unlink()
+    if report.curves:  # the VAE records none
         report.write_curves(out_dir / "curves")
     report.write_csv(out_dir / "report.csv")
     report.write_summary(out_dir / "summary.json")

@@ -19,6 +19,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import metrics, models, tabular
 from .errors import ConfigError, DataError, MixedAEError
 from .models import AutoencoderConfig, LearningCurves, VAEConfig, parse_loss
 from .rng import derive_seed, make_rng
-from .tabular import Dataset, encode, fit_encoder, split
+from .tabular import Dataset, EncodedMatrix, encode, fit_encoder, split
 
 TASKS = ("regression", "binary", "multiclass", "unsupervised")
 
@@ -203,12 +204,10 @@ class ExperimentConfig:
     test_fraction: float = 0.4
     epochs: tuple[int, ...] = (1000,)
     losses: tuple[str, ...] = ("standard", "balanced")
-    dim_z: int = 10
-    batch_size: int = 128
-    learning_rate: float = 1e-4
     seed: int = 0
     clusters: int = 4
-    vae: VAEConfig | None = None
+    ae: AutoencoderConfig = field(default_factory=AutoencoderConfig)  # its epochs are unused
+    vae: VAEConfig = field(default_factory=VAEConfig)
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -362,62 +361,93 @@ def _needs_target(task: str) -> bool:
     return task in ("regression", "binary", "multiclass")
 
 
-def _run_once(data: Dataset, cfg: ExperimentConfig, run: int) -> tuple[list[ReportRow], dict]:
+def _silhouette(points: np.ndarray, cfg: ExperimentConfig, run: int) -> float:
+    return metrics.silhouette(points, kmeans(points, cfg.clusters, derive_seed(cfg.seed, run, 3)).labels)
+
+
+def _train_autoencoders(X_train: EncodedMatrix, train: Dataset, cfg: ExperimentConfig, run: int) -> list:
+    """Each loss arm trained once to the largest budget, as one
+    (budget, loss, snapshot) triple per budget."""
+    ae_cfg = replace(cfg.ae, epochs=max(cfg.epochs), seed=derive_seed(cfg.seed, run, 1))
+    snapshots = models.train_autoencoder_arms(X_train, ae_cfg, cfg.losses, cfg.epochs)
+    return [(epochs, loss, arm[epochs]) for epochs in cfg.epochs for loss, arm in zip(cfg.losses, snapshots)]
+
+
+def _score_autoencoder(
+    model: models.TrainedAutoencoder, train: Dataset, test: Dataset, X_test: EncodedMatrix,
+    cfg: ExperimentConfig, run: int,
+) -> dict[str, float]:
+    """Reconstruction metrics, the proxies on reconstructed and latent
+    inputs, and for the unsupervised task the latent clustering."""
+    enc = X_test.encoder
+    recon_test = models.reconstruct(model, test)
+    cell = {"msem": metrics.msem(test, recon_test, enc), "mc": metrics.mc_distance(test, recon_test)}
+    if _needs_target(cfg.task):
+        recon_train = encode(models.reconstruct(model, train), enc).values
+        cell.update(_downstream_metrics(cfg.task, recon_train, train.y, X_test.values, test.y, "recon"))
+        z_train, z_test = models.latent(model, train), models.latent(model, test)
+        cell.update(_downstream_metrics(cfg.task, z_train, train.y, z_test, test.y, "latent"))
+    if cfg.task == "unsupervised":
+        cell["silhouette"] = _silhouette(models.latent(model, train), cfg, run)
+    return cell
+
+
+def _train_vaes(X_train: EncodedMatrix, train: Dataset, cfg: ExperimentConfig, run: int) -> list:
+    """Each loss arm trained to ``cfg.vae.epochs``, as (epochs, loss, model) triples."""
+    vae_cfg = replace(cfg.vae, seed=derive_seed(cfg.seed, run, 1))
+    trained = models.train_vae_arms(X_train, train.y, vae_cfg, cfg.losses)
+    return [(vae_cfg.epochs, loss, model) for loss, model in zip(cfg.losses, trained)]
+
+
+def _score_vae(
+    model: models.TrainedVAE, train: Dataset, test: Dataset, X_test: EncodedMatrix,
+    cfg: ExperimentConfig, run: int,
+) -> dict[str, float]:
+    """Reconstruction error, and the proxies fitted on a generated sample
+    the size of the train split."""
+    enc = X_test.encoder
+    cell = {"msem": metrics.msem(test, models.vae_reconstruct(model, test), enc)}
+    if _needs_target(cfg.task):
+        generated = models.vae_generate(model, train.n, derive_seed(cfg.seed, run, 2))
+        gen_y = generated.y
+        if cfg.task == "binary":
+            gen_y = (gen_y > 0.5).astype(float)
+        elif cfg.task == "multiclass":
+            gen_y = np.clip(np.round(gen_y), 0, int(train.y.max()))
+        gen_X = encode(generated, enc).values
+        cell.update(_downstream_metrics(cfg.task, gen_X, gen_y, X_test.values, test.y, "gen"))
+    return cell
+
+
+# Per model kind: train a run's loss arms, score one arm, and the suffix of
+# the proxy metrics that compare its reconstructed or generated data.
+_KINDS = {
+    "autoencoder": (_train_autoencoders, _score_autoencoder, "recon"),
+    "vae": (_train_vaes, _score_vae, "gen"),
+}
+
+
+def _run_once(kind: str, data: Dataset, cfg: ExperimentConfig, run: int) -> tuple[list[ReportRow], dict]:
+    train_arms, score, suffix = _KINDS[kind]
     split_seed = derive_seed(cfg.seed, run, 0)
     try:
         train, test = split(data, cfg.test_fraction, split_seed)
         enc = fit_encoder(train)
         X_train = encode(train, enc)
         X_test = encode(test, enc)
-        rows: list[ReportRow] = []
+        # Training first lets the proxies reuse the memory its steps freed.
+        arms = train_arms(X_train, train, cfg, run)
+
+        baseline = _downstream_metrics(cfg.task, X_train.values, train.y, X_test.values, test.y, suffix)
+        if cfg.task == "unsupervised" and kind == "autoencoder":
+            baseline["silhouette"] = _silhouette(X_train.values, cfg, run)
+        rows = [ReportRow(run, 0, BASELINE, k, v) for k, v in baseline.items()]
         curves: dict[tuple[int, int, str], LearningCurves] = {}
-
-        baseline: dict[str, float] = {}
-        if _needs_target(cfg.task):
-            baseline.update(
-                _downstream_metrics(cfg.task, X_train.values, train.y, X_test.values, test.y, "recon")
-            )
-        if cfg.task == "unsupervised":
-            km = kmeans(X_train.values, cfg.clusters, derive_seed(cfg.seed, run, 3))
-            baseline["silhouette"] = metrics.silhouette(X_train.values, km.labels)
-        rows.extend(ReportRow(run, 0, BASELINE, k, v) for k, v in baseline.items())
-
-        snapshots = dict(zip(cfg.losses, models.train_autoencoder_arms(
-            X_train,
-            AutoencoderConfig(
-                dim_z=cfg.dim_z,
-                epochs=max(cfg.epochs),
-                batch_size=cfg.batch_size,
-                learning_rate=cfg.learning_rate,
-                seed=derive_seed(cfg.seed, run, 1),
-            ),
-            cfg.losses,
-            cfg.epochs,
-        )))
-        for epochs in cfg.epochs:
-            for loss_text in cfg.losses:
-                model = snapshots[loss_text][epochs]
+        for epochs, loss_text, model in arms:
+            if kind == "autoencoder":
                 curves[(run, epochs, loss_text)] = model.curves
-
-                cell: dict[str, float] = {}
-                recon_test = models.reconstruct(model, test)
-                cell["msem"] = metrics.msem(test, recon_test, enc)
-                cell["mc"] = metrics.mc_distance(test, recon_test)
-
-                if _needs_target(cfg.task):
-                    recon_train = encode(models.reconstruct(model, train), enc).values
-                    cell.update(_downstream_metrics(
-                        cfg.task, recon_train, train.y, X_test.values, test.y, "recon"
-                    ))
-                    z_train, z_test = models.latent(model, train), models.latent(model, test)
-                    cell.update(_downstream_metrics(
-                        cfg.task, z_train, train.y, z_test, test.y, "latent"
-                    ))
-                if cfg.task == "unsupervised":
-                    z = models.latent(model, train)
-                    km = kmeans(z, cfg.clusters, derive_seed(cfg.seed, run, 3))
-                    cell["silhouette"] = metrics.silhouette(z, km.labels)
-                rows.extend(ReportRow(run, epochs, loss_text, k, v) for k, v in cell.items())
+            cell = score(model, train, test, X_test, cfg, run)
+            rows.extend(ReportRow(run, epochs, loss_text, k, v) for k, v in cell.items())
         return rows, curves
     except MixedAEError as e:
         raise type(e)(f"run {run} (split seed {split_seed}): {e}") from e
@@ -434,6 +464,19 @@ def _map_runs(run_once, data: Dataset, cfg: ExperimentConfig, jobs: int) -> list
         return list(pool.map(run_once, [data] * n, [cfg] * n, range(n)))
 
 
+def _experiment(kind: str, cfg: ExperimentConfig, jobs: int) -> ExperimentReport:
+    data = load_source(cfg.source, derive_seed(cfg.seed, 0))
+    if data.y is None and (kind == "vae" or _needs_target(cfg.task)):  # the VAE has a target head
+        raise DataError(f"the {kind} experiment with task {cfg.task!r} needs a target column")
+    rows: list[ReportRow] = []
+    curves: dict[tuple[int, int, str], LearningCurves] = {}
+    for got_rows, got_curves in _map_runs(partial(_run_once, kind), data, cfg, jobs):
+        rows.extend(got_rows)
+        curves.update(got_curves)
+    rows.sort(key=lambda r: (r.run, r.epochs, r.loss, r.metric))
+    return ExperimentReport(cfg.source.label, rows, curves)
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Split / encode / train each loss arm / score, repeated ``runs`` times.
 
@@ -442,75 +485,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     budget, and is scored at every budget from its snapshot. With
     ``jobs > 1`` the runs execute in separate processes.
     """
-    data = load_source(cfg.source, derive_seed(cfg.seed, 0))
-    if _needs_target(cfg.task) and data.y is None:
-        raise DataError(f"task {cfg.task!r} needs a target column")
-    rows: list[ReportRow] = []
-    curves: dict[tuple[int, int, str], LearningCurves] = {}
-    for got_rows, got_curves in _map_runs(_run_once, data, cfg, jobs):
-        rows.extend(got_rows)
-        curves.update(got_curves)
-    rows.sort(key=lambda r: (r.run, r.epochs, r.loss, r.metric))
-    return ExperimentReport(cfg.source.label, rows, curves)
-
-
-# ----------------------------------------------------------------------
-# VAE experiment
-# ----------------------------------------------------------------------
-
-def _vae_run_once(data: Dataset, cfg: ExperimentConfig, run: int) -> list[ReportRow]:
-    split_seed = derive_seed(cfg.seed, run, 0)
-    vae_base = cfg.vae if cfg.vae is not None else VAEConfig()
-    try:
-        train, test = split(data, cfg.test_fraction, split_seed)
-        enc = fit_encoder(train)
-        X_train = encode(train, enc)
-        X_test = encode(test, enc)
-        rows: list[ReportRow] = []
-
-        # Training first lets the proxies reuse the memory its steps freed.
-        vae_cfg = replace(vae_base, seed=derive_seed(cfg.seed, run, 1))
-        trained = models.train_vae_arms(X_train, train.y, vae_cfg, cfg.losses)
-
-        baseline: dict[str, float] = {}
-        if _needs_target(cfg.task):
-            baseline.update(
-                _downstream_metrics(cfg.task, X_train.values, train.y, X_test.values, test.y, "gen")
-            )
-        rows.extend(ReportRow(run, 0, BASELINE, k, v) for k, v in baseline.items())
-
-        for loss_text, model in zip(cfg.losses, trained):
-            cell: dict[str, float] = {}
-            recon_test = models.vae_reconstruct(model, test)
-            cell["msem"] = metrics.msem(test, recon_test, enc)
-
-            generated = models.vae_generate(model, train.n, derive_seed(cfg.seed, run, 2))
-            if _needs_target(cfg.task):
-                gen_y = generated.y
-                if cfg.task == "binary":
-                    gen_y = (gen_y > 0.5).astype(float)
-                elif cfg.task == "multiclass":
-                    hi = int(train.y.max())
-                    gen_y = np.clip(np.round(gen_y), 0, hi)
-                cell.update(
-                    _downstream_metrics(
-                        cfg.task, encode(generated, enc).values, gen_y, X_test.values, test.y, "gen"
-                    )
-                )
-            rows.extend(
-                ReportRow(run, vae_cfg.epochs, loss_text, k, v) for k, v in cell.items()
-            )
-        return rows
-    except MixedAEError as e:
-        raise type(e)(f"run {run} (split seed {split_seed}): {e}") from e
+    return _experiment("autoencoder", cfg, jobs)
 
 
 def vae_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Per loss arm: train a VAE, generate a synthetic train-sized sample,
-    fit proxies on it, and score against the real held-out test split."""
-    data = load_source(cfg.source, derive_seed(cfg.seed, 0))
-    if data.y is None:
-        raise DataError("the VAE experiment needs a target column")
-    rows = [row for got in _map_runs(_vae_run_once, data, cfg, jobs) for row in got]
-    rows.sort(key=lambda r: (r.run, r.epochs, r.loss, r.metric))
-    return ExperimentReport(cfg.source.label, rows)
+    """:func:`run_experiment` with a VAE per loss arm, trained for
+    ``cfg.vae.epochs``: each arm generates a synthetic train-sized sample,
+    fits the proxies on it, and is scored against the real held-out split."""
+    return _experiment("vae", cfg, jobs)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, tabular
-from .errors import ConfigError, ConstantNumeric, DegenerateWidth, NonFinite, ShapeError
+from .errors import ConfigError, ConstantNumeric, DataError, DegenerateWidth, NonFinite, ShapeError
 from .losses import LossWeights, _select, _weighted_mse, compute_balance_weights, cross_entropy_loss
 from .nn import Network, adam_step, backward, forward
 from .rng import derive_seed, gaussian, make_rng
@@ -159,18 +159,8 @@ def train_autoencoder(
     cfg: AutoencoderConfig,
     weights: LossWeights | None = None,
 ) -> TrainedAutoencoder:
-    """Train for ``cfg.epochs``: :func:`train_autoencoder_budgets` with one budget."""
-    return train_autoencoder_budgets(train, cfg, (cfg.epochs,), weights)[cfg.epochs]
-
-
-def train_autoencoder_budgets(
-    train: EncodedMatrix,
-    cfg: AutoencoderConfig,
-    budgets: tuple[int, ...],
-    weights: LossWeights | None = None,
-) -> dict[int, TrainedAutoencoder]:
-    """:func:`train_autoencoder_arms` with the one arm ``cfg.loss``."""
-    return train_autoencoder_arms(train, cfg, (cfg.loss,), budgets, weights)[0]
+    """:func:`train_autoencoder_arms` with the one arm ``cfg.loss`` and budget ``cfg.epochs``."""
+    return train_autoencoder_arms(train, cfg, (cfg.loss,), (cfg.epochs,), weights)[0][cfg.epochs]
 
 
 def train_autoencoder_arms(
@@ -257,24 +247,21 @@ def train_autoencoder_arms(
     return snapshots
 
 
-def reconstruction_scores(model: TrainedAutoencoder, data: Dataset) -> np.ndarray:
-    """Soft reconstruction of ``data`` in the encoded working space."""
-    m = encode(data, model.state)
-    out = forward(model.decoder_net, forward(model.encoder_net, m.values).output).output
-    return _scores_from_output(out, model.config.loss, model.state.categorical_groups())
-
-
-def reconstruct(model: TrainedAutoencoder, data: Dataset) -> Dataset:
-    """Encode, push through the autoencoder, hard-decode.
-
-    The original target column, if any, is carried through unchanged
-    (the autoencoder never sees it).
-    """
-    scores = reconstruction_scores(model, data)
-    decoded = decode(EncodedMatrix(scores, model.state), model.state)
+def _decode_like(scores: np.ndarray, state: EncoderState, data: Dataset) -> Dataset:
+    """Hard-decode ``scores``; ``data``'s target column, if any, is carried
+    through unchanged (the models never reconstruct it)."""
+    decoded = decode(EncodedMatrix(scores, state), state)
     if data.y is None:
         return decoded
     return dataclasses.replace(decoded, y=data.y, target_name=data.target_name)
+
+
+def reconstruct(model: TrainedAutoencoder, data: Dataset) -> Dataset:
+    """Encode, push through the autoencoder, hard-decode; the target is carried."""
+    m = encode(data, model.state)
+    out = forward(model.decoder_net, forward(model.encoder_net, m.values).output).output
+    scores = _scores_from_output(out, model.config.loss, model.state.categorical_groups())
+    return _decode_like(scores, model.state, data)
 
 
 def latent(model: TrainedAutoencoder, data: Dataset) -> np.ndarray:
@@ -288,22 +275,18 @@ def latent(model: TrainedAutoencoder, data: Dataset) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 @dataclass
-class VAEConfig:
-    dim_hidden: int = 20
-    dim_z: int = 10
-    epochs: int = 1000
+class VAEConfig(AutoencoderConfig):
+    """The autoencoder's settings, with the VAE's own defaults, plus the
+    width of its one hidden layer on each side."""
+
     batch_size: int = 256
     learning_rate: float = 1e-3
-    loss: LossSpec = dataclasses.field(default_factory=lambda: LossSpec("standard"))
-    seed: int = 0
+    dim_hidden: int = 20
 
     def __post_init__(self) -> None:
-        if isinstance(self.loss, str):
-            self.loss = parse_loss(self.loss)
+        super().__post_init__()
         if self.loss.kind == "ce":
             raise ConfigError("the VAE supports standard/balanced/blended losses only")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
 
 
 @dataclass
@@ -328,7 +311,7 @@ class TrainedVAE:
     weights: LossWeights | None
     config: VAEConfig
     y_range: tuple[float, float]
-    loss_checkpoints: np.ndarray  # (epoch, loss) pairs, 10 rows
+    loss_checkpoints: np.ndarray  # (epoch, loss) pairs, 10 rows (none once loaded)
 
 
 def build_vae(p: int, dim_hidden: int, dim_z: int, seed: int) -> VAENets:
@@ -496,21 +479,14 @@ def train_vae_arms(
     ]
 
 
-def vae_reconstruction_scores(model: TrainedVAE, data: Dataset) -> np.ndarray:
-    """Deterministic reconstruction through the mean latent (z = mu)."""
+def vae_reconstruct(model: TrainedVAE, data: Dataset) -> Dataset:
+    """Deterministic reconstruction through the mean latent (z = mu),
+    hard-decoded; the target is carried."""
     m = encode(data, model.state)
     h1 = forward(model.nets.hl1, m.values).output
     mu = forward(model.nets.hl21, h1).output
     h3 = forward(model.nets.hl3, mu).output
-    return forward(model.nets.hl41, h3).output
-
-
-def vae_reconstruct(model: TrainedVAE, data: Dataset) -> Dataset:
-    scores = vae_reconstruction_scores(model, data)
-    decoded = decode(EncodedMatrix(scores, model.state), model.state)
-    if data.y is None:
-        return decoded
-    return dataclasses.replace(decoded, y=data.y, target_name=data.target_name)
+    return _decode_like(forward(model.nets.hl41, h3).output, model.state, data)
 
 
 def vae_generate(model: TrainedVAE, count: int, seed: int) -> Dataset:
@@ -554,40 +530,40 @@ def vae_generate(model: TrainedVAE, count: int, seed: int) -> Dataset:
 # Checkpoints
 # ----------------------------------------------------------------------
 
-def save_autoencoder(model: TrainedAutoencoder, path: str | Path) -> None:
+def save_model(model: TrainedAutoencoder | TrainedVAE, path: str | Path) -> None:
+    """Write the model's networks (:func:`nn.write_networks`) under a header
+    with its kind, config, seed and encoder state, and a VAE's target range."""
+    vae = isinstance(model, TrainedVAE)
+    cfg = model.config
     header = {
-        "kind": "autoencoder",
+        "kind": "vae" if vae else "autoencoder",
         "schema_hash": tabular.schema_hash(model.state.schema),
-        "config": {
-            "dim_z": model.config.dim_z,
-            "epochs": model.config.epochs,
-            "batch_size": model.config.batch_size,
-            "learning_rate": model.config.learning_rate,
-            "loss": model.config.loss.label,
-            "seed": model.config.seed,
-        },
-        "seed": model.config.seed,
+        "config": {**dataclasses.asdict(cfg), "loss": cfg.loss.label},
+        "seed": cfg.seed,
         "encoder_state": tabular.encoder_to_dict(model.state),
     }
-    nn.write_networks(path, [model.encoder_net, model.decoder_net], header)
+    if vae:
+        header["y_range"] = list(model.y_range)
+    nn.write_networks(path, model.nets.all() if vae else [model.encoder_net, model.decoder_net], header)
 
 
-def load_autoencoder(path: str | Path) -> TrainedAutoencoder:
+def load_model(path: str | Path) -> TrainedAutoencoder | TrainedVAE:
+    """Inverse of :func:`save_model`. The loaded model has no learning curves
+    or loss history; a malformed header raises :class:`DataError`."""
     nets, header = nn.read_networks(path)
-    if header.get("kind") != "autoencoder":
-        raise ConfigError(f"{path}: not an autoencoder checkpoint")
-    state = tabular.encoder_from_dict(header["encoder_state"])
-    c = header["config"]
-    cfg = AutoencoderConfig(
-        dim_z=c["dim_z"],
-        epochs=c["epochs"],
-        batch_size=c["batch_size"],
-        learning_rate=c["learning_rate"],
-        loss=parse_loss(c["loss"]),
-        seed=c["seed"],
-    )
-    weights = compute_balance_weights(state) if cfg.loss.needs_weights else None
-    return TrainedAutoencoder(nets[0], nets[1], state, weights, cfg, curves=None)
+    try:
+        kind = header["kind"]
+        if {"autoencoder": 2, "vae": 6}.get(kind) != len(nets):
+            raise ValueError(f"kind {kind!r} with {len(nets)} networks")
+        state = tabular.encoder_from_dict(header["encoder_state"])
+        cfg = (VAEConfig if kind == "vae" else AutoencoderConfig)(**header["config"])
+        weights = compute_balance_weights(state) if cfg.loss.needs_weights else None
+        if kind == "autoencoder":
+            return TrainedAutoencoder(nets[0], nets[1], state, weights, cfg, curves=None)
+        y_lo, y_hi = header["y_range"]
+        return TrainedVAE(VAENets(*nets), state, weights, cfg, (float(y_lo), float(y_hi)), np.empty((0, 2)))
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise DataError(f"{path}: malformed checkpoint header: {e!r}") from None
 
 
 def curves_to_csv(curves: LearningCurves, path: str | Path, epochs_label: int | None = None) -> None:

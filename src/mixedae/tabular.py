@@ -460,25 +460,33 @@ def save_schema_sidecar(schema: Schema, path: str | Path, target: str | None = N
 
 
 def load_schema_sidecar(path: str | Path) -> tuple[Schema, str | None]:
+    """Inverse of :func:`save_schema_sidecar`; an unreadable or malformed
+    file raises :class:`DataError`."""
     cols: list[Column] = []
     target = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",", 2)
-            name, kind = parts[0], parts[1]
-            if kind == "numeric":
-                cols.append(Column(name))
-            elif kind == "categorical":
-                if len(parts) != 3:
-                    raise DataError(f"{path}: categorical {name!r} lists no categories")
-                cols.append(Column(name, tuple(parts[2].split("|"))))
-            elif kind == "target":
-                target = name
-            else:
-                raise DataError(f"{path}: unknown column kind {kind!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read schema sidecar {path}: {e}") from e
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",", 2)
+        if len(parts) < 2:
+            raise DataError(f"{path}: line {line!r} names no column kind")
+        name, kind = parts[0], parts[1]
+        if kind == "numeric":
+            cols.append(Column(name))
+        elif kind == "categorical":
+            if len(parts) != 3:
+                raise DataError(f"{path}: categorical {name!r} lists no categories")
+            cols.append(Column(name, tuple(parts[2].split("|"))))
+        elif kind == "target":
+            target = name
+        else:
+            raise DataError(f"{path}: unknown column kind {kind!r}")
     return Schema(tuple(cols)), target
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mixedae.cli import DEFAULTS, dump_config, load_config, main
 from mixedae.experiments import load_report_csv
+from mixedae.models import TrainedVAE, load_model
 from mixedae.errors import ConfigError, MixedAEError
 
 
@@ -224,7 +225,16 @@ class TestTrain:
             f"[train]\nepochs = 10\n[output]\ndir = {out}\n"
         )
         assert run_cli("train", "--config", str(cfg)) == 0
-        assert (out / "model.ckpt").exists()
+        model = load_model(out / "model.ckpt")
+        assert isinstance(model, TrainedVAE)
+        assert model.config.epochs == 10 and model.config.dim_hidden == 20
+
+    def test_unknown_model_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(f"[experiment]\nmodel = vea\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExperiment:
@@ -270,6 +280,7 @@ class TestExperiment:
             "[experiment]\ntask = binary\n",
             "[experiment]\ntask = multiclass\n",
             "[data]\ncoeffs = 1,a\n",
+            "[experiment]\nmodel = vea\n",
         ],
     )
     def test_impossible_values_exit_2(self, tmp_path, capsys, text):
@@ -291,6 +302,39 @@ class TestExperiment:
         rows = [line.split(",") for line in (tmp_path / "out" / "report.csv").read_text().splitlines()]
         mc = [float(r[5]) for r in rows if r[4] == "mc"]
         assert len(mc) == 2 and np.all(np.isfinite(mc))
+
+    def test_vae_dry_run_reports_the_vae_budget(self, tmp_path, capsys):
+        cfg = tmp_path / "vae.ini"
+        cfg.write_text("[experiment]\nmodel = vae\nepochs = 5\n[vae]\nepochs = 3\n")
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 0
+        assert "epochs [3]" in capsys.readouterr().out
+
+    def test_vae_rejects_the_epochs_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "vae.ini"
+        cfg.write_text(f"[experiment]\nmodel = vae\n[vae]\nepochs = 3\n[output]\ndir = {tmp_path / 'out'}\n")
+        for extra in (["--dry-run"], []):
+            assert run_cli("experiment", "--config", str(cfg), "--epochs", "1", *extra) == 2
+            assert "[vae] epochs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["kindless-line", "directory", "non-utf8"])
+    def test_unreadable_schema_sidecar_exits_3(self, tmp_path, capsys, where):
+        data = tmp_path / "d.csv"
+        data.write_text("a,q\n" + "".join(f"{i}.0,{'uv'[i % 2]}\n" for i in range(10)))
+        sidecar = tmp_path / "d.schema"
+        if where == "directory":
+            sidecar.mkdir()
+        elif where == "non-utf8":
+            sidecar.write_bytes(b"a,numeric\nq,categorical,u|\xff\n")
+        else:
+            sidecar.write_text("a,numeric\nbroken\n")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {data}\nschema_path = {sidecar}\n"
+            f"[experiment]\ntask = unsupervised\nruns = 1\nepochs = 2\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg)) == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_bad_loss_flag(self, tiny_experiment_config):
         assert (

@@ -14,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_balanced_loss_basics", "02_synthetic_data", "04_mixed_metrics", "06_vae_generation"]
+WRITES = {"02_synthetic_data": "mixedae_demo_synthetic.csv"}  # into the working directory
 
 
 @pytest.mark.parametrize("name", DEMOS)
@@ -31,3 +32,4 @@ def test_demo_runs(name, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.strip()
+    assert [p.name for p in tmp_path.iterdir()] == ([WRITES[name]] if name in WRITES else [])

@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: unused imports, dead definitions, and the names the benchmark traces."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,21 @@ def test_every_definition_is_referenced():
         if name not in refs
     ]
     assert dead == []
+
+
+def test_benchmark_traced_names_resolve():
+    """Every function the benchmark's tracer wraps is an attribute of its
+    module, so a rename cannot silently break ``perfbench --trace 1``."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    ]
+    missing = [
+        f"{layer}.{fn}"
+        for layer, fns in traced.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"mixedae.{layer}"), fn, None))
+    ]
+    assert traced and missing == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mixedae.models as models
-from mixedae import errors, metrics
+from mixedae import errors, metrics, nn, tabular
 from mixedae.losses import LossWeights
 from mixedae.models import (
     AutoencoderConfig,
@@ -13,11 +13,11 @@ from mixedae.models import (
     build_vae,
     checkpoint_epochs,
     latent,
-    load_autoencoder,
+    load_model,
     parse_loss,
     reconstruct,
     reparameterize,
-    save_autoencoder,
+    save_model,
     train_autoencoder,
     train_vae,
     vae_generate,
@@ -150,7 +150,7 @@ class TestTrainAutoencoderBudgets:
     def test_snapshots_equal_separate_training(self, synthetic_split, loss):
         train, _, enc = synthetic_split
         X = encode(train, enc)
-        snaps = models.train_autoencoder_budgets(X, AutoencoderConfig(loss=loss, seed=6), (3, 7))
+        snaps = models.train_autoencoder_arms(X, AutoencoderConfig(loss=loss, seed=6), (loss,), (3, 7))[0]
         assert list(snaps) == [3, 7]
         for budget, snap in snaps.items():
             alone = train_autoencoder(X, AutoencoderConfig(epochs=budget, loss=loss, seed=6))
@@ -165,7 +165,7 @@ class TestTrainAutoencoderBudgets:
         X = encode(train, enc)
         for budgets in ((), (5, 0)):
             with pytest.raises(errors.ConfigError):
-                models.train_autoencoder_budgets(X, AutoencoderConfig(), budgets)
+                models.train_autoencoder_arms(X, AutoencoderConfig(), ("standard",), budgets)
 
 
 class TestLockstepArms:
@@ -268,17 +268,110 @@ class TestReconstructAndLatent:
         assert np.array_equal(z, latent(model, test))
 
 
+def save_autoencoder_before_save_model(model, path):
+    """The autoencoder checkpoint writer that ``save_model`` replaced, verbatim."""
+    header = {
+        "kind": "autoencoder",
+        "schema_hash": tabular.schema_hash(model.state.schema),
+        "config": {
+            "dim_z": model.config.dim_z,
+            "epochs": model.config.epochs,
+            "batch_size": model.config.batch_size,
+            "learning_rate": model.config.learning_rate,
+            "loss": model.config.loss.label,
+            "seed": model.config.seed,
+        },
+        "seed": model.config.seed,
+        "encoder_state": tabular.encoder_to_dict(model.state),
+    }
+    nn.write_networks(path, [model.encoder_net, model.decoder_net], header)
+
+
 class TestSaveLoad:
-    def test_round_trip(self, synthetic_split, tmp_path):
-        train, test, enc = synthetic_split
-        model = train_autoencoder(encode(train, enc), AutoencoderConfig(epochs=10, seed=9))
+    @pytest.fixture(scope="class")
+    def autoencoder(self, synthetic_split):
+        train, _, enc = synthetic_split
+        return train_autoencoder(encode(train, enc), AutoencoderConfig(epochs=10, seed=9, loss="balanced"))
+
+    @pytest.fixture(scope="class")
+    def vae(self, synthetic_split):
+        train, _, enc = synthetic_split
+        return train_vae(encode(train, enc), train.y, VAEConfig(epochs=6, seed=10, loss="balanced"))
+
+    def test_round_trip(self, autoencoder, synthetic_split, tmp_path):
+        _, test, enc = synthetic_split
         path = tmp_path / "model.ckpt"
-        save_autoencoder(model, path)
-        back = load_autoencoder(path)
-        assert nets_equal(model.encoder_net, back.encoder_net)
-        assert nets_equal(model.decoder_net, back.decoder_net)
+        save_model(autoencoder, path)
+        back = load_model(path)
+        assert isinstance(back, models.TrainedAutoencoder)
+        assert nets_equal(autoencoder.encoder_net, back.encoder_net)
+        assert nets_equal(autoencoder.decoder_net, back.decoder_net)
+        assert back.config == autoencoder.config
         assert back.state.numeric_range == enc.numeric_range
-        assert reconstruct(back, test).equals(reconstruct(model, test))
+        assert np.array_equal(back.weights.w_one, autoencoder.weights.w_one)
+        assert reconstruct(back, test).equals(reconstruct(autoencoder, test))
+        assert np.array_equal(latent(back, test), latent(autoencoder, test))
+
+    def test_vae_round_trip(self, vae, synthetic_split, tmp_path):
+        _, test, _ = synthetic_split
+        path = tmp_path / "vae.ckpt"
+        save_model(vae, path)
+        back = load_model(path)
+        assert isinstance(back, models.TrainedVAE)
+        assert all(nets_equal(a, b) for a, b in zip(vae.nets.all(), back.nets.all()))
+        assert back.config == vae.config
+        assert back.y_range == vae.y_range
+        assert vae_reconstruct(back, test).equals(vae_reconstruct(vae, test))
+        assert vae_generate(back, 300, seed=4).equals(vae_generate(vae, 300, seed=4))
+
+    def test_checkpoint_of_the_former_writer_loads(self, autoencoder, synthetic_split, tmp_path):
+        _, test, _ = synthetic_split
+        old, new = tmp_path / "old.ckpt", tmp_path / "new.ckpt"
+        save_autoencoder_before_save_model(autoencoder, old)
+        save_model(autoencoder, new)
+        assert new.read_bytes() == old.read_bytes()
+        assert reconstruct(load_model(old), test).equals(reconstruct(autoencoder, test))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"kind": None},
+            {"kind": "vea"},
+            {"kind": ["vae"]},
+            {"kind": "vae"},
+            {"config": None},
+            {"config": [1, 2]},
+            {"config": {"dim_z": 10, "bogus": 1}},
+            {"encoder_state": None},
+            {"encoder_state": {"schema": []}},
+        ],
+        ids=str,
+    )
+    def test_malformed_header_is_a_typed_error(self, autoencoder, tmp_path, change):
+        path = tmp_path / "model.ckpt"
+        save_model(autoencoder, path)
+        nets, header = nn.read_networks(path)
+        header.update(change)
+        header = {k: v for k, v in header.items() if v is not None}
+        nn.write_networks(path, nets, header)
+        with pytest.raises(errors.DataError, match="malformed checkpoint header"):
+            load_model(path)
+
+    @pytest.mark.parametrize("drop", ["y_range", "encoder_state", "config"])
+    def test_vae_header_without_a_key_is_a_typed_error(self, vae, tmp_path, drop):
+        path = tmp_path / "vae.ckpt"
+        save_model(vae, path)
+        nets, header = nn.read_networks(path)
+        del header[drop]
+        nn.write_networks(path, nets, header)
+        with pytest.raises(errors.DataError, match="malformed checkpoint header"):
+            load_model(path)
+
+    def test_bare_vae_header_of_the_former_train_command(self, vae, tmp_path):
+        path = tmp_path / "vae.ckpt"
+        nn.write_networks(path, vae.nets.all(), {"kind": "vae", "loss": "balanced", "seed": 0})
+        with pytest.raises(errors.MixedAEError):
+            load_model(path)
 
 
 class TestBuildVae:

@@ -129,6 +129,18 @@ class TestSidecar:
         assert back == schema
         assert target == "y"
 
+    @pytest.mark.parametrize("where", ["kindless-line", "directory", "non-utf8", "missing"])
+    def test_unreadable_or_malformed_is_a_data_error(self, tmp_path, where):
+        p = tmp_path / "s.schema"
+        if where == "directory":
+            p.mkdir()
+        elif where == "non-utf8":
+            p.write_bytes(b"a,numeric\nq,categorical,u|\xff\n")
+        elif where == "kindless-line":
+            p.write_text("a,numeric\nbroken\n")
+        with pytest.raises(errors.DataError):
+            tabular.load_schema_sidecar(p)
+
 
 class TestFitEncoder:
     def test_counting(self):
@@ -375,3 +387,23 @@ def test_read_csv_loads_or_raises_typed_error(tmp_path_factory, content, target,
         return
     assert all(len(column) == data.n for column in data.columns.values())
     assert data.y is None or len(data.y) == data.n
+
+
+sidecar_lines = st.sampled_from([
+    "a,numeric", "b,categorical,x|y", "y,target", "broken", "", ",", "b,categorical",
+    "b,categorical,x", "b,categorical,x|x", "a,weird", "a,numeric,extra", "a,numeric\r",
+])
+sidecar_texts = st.lists(sidecar_lines | st.text(max_size=6), max_size=6).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(content=st.one_of(st.binary(max_size=64), st.text(max_size=64), sidecar_texts))
+def test_load_schema_sidecar_loads_or_raises_typed_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.schema"
+    path.write_bytes(content.encode("utf-8", "surrogatepass") if isinstance(content, str) else content)
+    try:
+        schema, target = tabular.load_schema_sidecar(path)
+    except errors.DataError:
+        return
+    assert all(isinstance(c, Column) for c in schema.columns)
+    assert target is None or isinstance(target, str)
