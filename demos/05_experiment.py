@@ -32,7 +32,7 @@ for metric in ("msem", "y_mse_recon", "y_mse_latent"):
     verdict = "balanced wins" if b < s else "standard wins"
     print(f"{metric}: median balanced {b:.4f} vs standard {s:.4f} -> {verdict}")
 
-report.write_csv("/tmp/mixedae_demo_report.csv")
-report.write_summary("/tmp/mixedae_demo_summary.json")
-print("\nwrote /tmp/mixedae_demo_report.csv and /tmp/mixedae_demo_summary.json")
-print("pretty-print them with: mixedae report /tmp/mixedae_demo_report.csv")
+report.write_csv("report.csv")
+report.write_summary("summary.json")
+print("\nwrote report.csv and summary.json in the working directory")
+print("pretty-print them with: mixedae report report.csv")

@@ -179,6 +179,8 @@ def _experiment_from_config(cfg) -> ExperimentConfig:
 # ----------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     data = tabular.generate_synthetic(args.context, args.n, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -194,12 +196,12 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or cfg["output"]["dir"])
     kind = _model(cfg)
 
-    seed = _parse(cfg, "train", "seed", 0)
-    data = experiments.load_source(_source_from_config(cfg), seed)
+    fields = {key: _parse(cfg, "train", key, 0) for key in ("epochs", "seed")}
+    # the config checks its values before the data loads
+    model_cfg = _dataclass(cfg, kind, MODEL_CONFIGS[kind], loss=cfg["train"]["loss"], **fields)
+    data = experiments.load_source(_source_from_config(cfg), model_cfg.seed)
     enc = tabular.fit_encoder(data)
     matrix = tabular.encode(data, enc)
-    fields = dict(epochs=_parse(cfg, "train", "epochs", 0), loss=cfg["train"]["loss"], seed=seed)
-    model_cfg = _dataclass(cfg, kind, MODEL_CONFIGS[kind], **fields)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "vae":

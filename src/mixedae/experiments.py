@@ -220,6 +220,10 @@ class ExperimentConfig:
             raise ConfigError(f"task {self.task} needs class targets; synthetic ones are continuous")
         for loss in self.losses:
             parse_loss(loss)  # validates
+        if len(set(self.losses)) < len(self.losses):
+            raise ConfigError(f"losses must not repeat, got {self.losses}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

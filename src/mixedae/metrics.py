@@ -6,12 +6,15 @@ compares mixed correlation matrices (Spearman rho, Cramer's V, eta
 squared by pair type). Degenerate inputs raise rather than returning
 silent zeros, with two exceptions: silhouette's 0/0 -> 0 convention and
 ``mixed_correlation``'s 0 for a constant column. Ranks, contingency
-tables, groups and cluster labels all come from one helper, ``_levels``.
+tables, groups and cluster labels all come from one helper, ``_levels``
+(below ``_SMALL_N`` values, from its plain-Python mirror: the same bits).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -97,6 +100,20 @@ def classification_scores(y_true: np.ndarray, y_pred: np.ndarray) -> Classificat
 # Pairwise association statistics
 # ----------------------------------------------------------------------
 
+# Below this many values the three pairwise statistics run in plain Python on
+# .tolist() values: at small n numpy's fixed cost per call, not arithmetic,
+# sets their time. Both paths give the same bits (README, "Reproducibility").
+_SMALL_N = 24
+
+
+def _small(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same-shape inputs of fewer than _SMALL_N values, of dtypes whose .tolist()
+    values sort and hash as numpy's do, laid out so that numpy sums them in C order."""
+    return a.size < _SMALL_N and a.dtype.kind in "biufSU" and b.dtype.kind in "biufSU" and (
+        a.ndim == 1 or a.flags.c_contiguous and b.flags.c_contiguous
+    )
+
+
 def _levels(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy's unique inverse and counts of the flattened array, without its overhead."""
     # NaN != NaN keeps every NaN, but all map to the first one: the others
@@ -110,12 +127,39 @@ def _levels(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse, np.bincount(inverse)
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
+def _scalar_levels(v: np.ndarray) -> tuple[list[int], list[int]]:
+    """``_levels`` as lists: non-NaN values sort as np.sort does, ±inf in place,
+    -0.0 and 0.0 (equal, one hash) are one level, and all NaNs one last level."""
+    values = v.ravel().tolist()
+    distinct = sorted({x for x in values if x == x})
+    nan = len(distinct)
+    index = dict(zip(distinct, range(nan)))
+    inverse = [index.get(x, nan) for x in values]  # a NaN is never found
+    counts = [0] * (max(inverse) + 1)
+    for i in inverse:
+        counts[i] += 1
+    return inverse, counts
+
+
+def _scalar_sum(values: list[float]) -> float:
+    """np.add.reduce of a 1-D float64 array: the pairwise sum added to 0.0,
+    which turns a -0.0 sum into 0.0."""
+    return 0.0 + _pairwise_sum(values.__getitem__, 0, len(values))
+
+
+def _average_ranks(inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # Average rank of ties: mean of the 1-based positions of each value block.
-    inverse, counts = _levels(x)
     cum = np.cumsum(counts)
     avg = (cum - counts + 1 + cum) / 2.0
     return avg[inverse]
+
+
+def _doubled_rank_deviations(inverse: list[int], counts: list[int]) -> list[int]:
+    """2 (average rank - mean rank) per value, an integer where numpy's
+    deviation is an exact half: (cum - c + 1 + cum) - (n + 1) per level."""
+    n = len(inverse)
+    doubled = [2 * cum - c - n for cum, c in zip(accumulate(counts), counts)]
+    return [doubled[i] for i in inverse]
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
@@ -124,13 +168,22 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.size < 2:
         raise LengthMismatch("need two equal-length vectors of size >= 2")
+    small = _small(x, y)
+    levels = _scalar_levels if small else _levels
+    lx, ly = levels(x), levels(y)
+    if len(lx[1]) < 2 or len(ly[1]) < 2:  # one level: every rank is the mean
+        raise ZeroVariance("rank vector is constant")
+    if small:
+        # numpy's three sums below add exact quarters, so they are exact in
+        # any order: the integer sums of the doubled deviations over 4
+        dx, dy = _doubled_rank_deviations(*lx), _doubled_rank_deviations(*ly)
+        sx, sy = sum([d * d for d in dx]) / 4, sum([d * d for d in dy]) / 4
+        return sum([p * q for p, q in zip(dx, dy)]) / 4 / math.sqrt(sx * sy)
     # n average ranks sum exactly to n(n + 1)/2; add.reduce keeps np.sum's bits
     mean = (x.size + 1) / 2.0
-    dx = _average_ranks(x) - mean
-    dy = _average_ranks(y) - mean
+    dx = _average_ranks(*lx) - mean
+    dy = _average_ranks(*ly) - mean
     sx, sy = np.add.reduce(dx * dx), np.add.reduce(dy * dy)
-    if sx == 0.0 or sy == 0.0:
-        raise ZeroVariance("rank vector is constant")
     return float(np.add.reduce(dx * dy) / np.sqrt(sx * sy))
 
 
@@ -140,16 +193,23 @@ def cramers_v(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape or a.size < 1:
         raise LengthMismatch("need two equal-length vectors")
-    ai, ra = _levels(a)
-    bi, cb = _levels(b)
-    r, c = ra.size, cb.size
+    small = _small(a, b)
+    levels = _scalar_levels if small else _levels
+    (ai, ra), (bi, cb) = levels(a), levels(b)
+    r, c, n = len(ra), len(cb), a.size
     if r < 2 or c < 2:
         raise DegenerateTable("both variables need >= 2 observed categories")
-    n = a.size
-    table = np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
-    expected = ra[:, None] * cb / n
-    chi2 = float(np.add.reduce((table - expected) ** 2 / expected, axis=None))
-    return float(np.sqrt(chi2 / (n * min(r - 1, c - 1))))
+    if small:
+        table = [0] * (r * c)
+        for i, j in zip(ai, bi):
+            table[i * c + j] += 1
+        expected = [p * q / n for p in ra for q in cb]  # row-major, as numpy sums the table
+        chi2 = _scalar_sum([(t - e) * (t - e) / e for t, e in zip(table, expected)])
+    else:
+        table = np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
+        expected = ra[:, None] * cb / n
+        chi2 = float(np.add.reduce((table - expected) ** 2 / expected, axis=None))
+    return math.sqrt(chi2 / (n * min(r - 1, c - 1)))
 
 
 def eta_squared(x: np.ndarray, g: np.ndarray) -> float:
@@ -158,16 +218,28 @@ def eta_squared(x: np.ndarray, g: np.ndarray) -> float:
     g = np.asarray(g)
     if x.shape != g.shape or x.size < 2:
         raise LengthMismatch("need two equal-length vectors of size >= 2")
-    gi, counts = _levels(g)
-    if counts.size < 2:
+    small = _small(x, g)
+    gi, counts = (_scalar_levels if small else _levels)(g)
+    if len(counts) < 2:
         raise EmptyGroup("need at least 2 non-empty groups")
-    mean = np.add.reduce(x, axis=None) / x.size  # the bits of x.mean()
-    total = x - mean
-    sst = float(np.add.reduce(total * total, axis=None))
+    if small:
+        values = x.ravel().tolist()
+        mean = _scalar_sum(values) / x.size
+        sst = _scalar_sum([(v - mean) * (v - mean) for v in values])
+        sums = [0.0] * len(counts)  # bincount's weighted sums, in order from 0.0
+        for i, v in zip(gi, values):
+            sums[i] += v
+        between = [s / k - mean for s, k in zip(sums, counts)]
+        ssb = _scalar_sum([k * (d * d) for k, d in zip(counts, between)])
+    else:
+        mean = np.add.reduce(x, axis=None) / x.size  # the bits of x.mean()
+        total = x - mean
+        sst = float(np.add.reduce(total * total, axis=None))
+        between = np.bincount(gi, weights=x.ravel()) / counts - mean
+        ssb = float(np.add.reduce(counts * (between * between)))
     if sst == 0.0:
         raise ZeroVariance("x has zero total variance")
-    between = np.bincount(gi, weights=x.ravel()) / counts - mean
-    return float(np.add.reduce(counts * (between * between))) / sst
+    return ssb / sst
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +350,7 @@ _STRIP = 32  # rows of the distance matrix per strip
 def _pairwise_sum(term, lo: int, hi: int):
     """term(lo) + ... + term(hi - 1) in numpy's pairwise add-reduce order, so bit
     for bit np.sum over a stacked last axis (save that np.sum makes -0.0 0.0).
-    The terms must be fresh arrays: they are added to in place."""
+    The terms must be floats or fresh arrays: arrays are added to in place."""
     n = hi - lo
     if n > 128:  # two halves, the first a multiple of 8 long
         mid = lo + n // 2 - n // 2 % 8
@@ -348,5 +420,5 @@ def rank_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     n_neg = y_true.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassTruth("AUC needs both classes in y_true")
-    ranks = _average_ranks(scores)
+    ranks = _average_ranks(*_levels(scores))
     return float((ranks[y_true.ravel()].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

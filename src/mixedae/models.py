@@ -84,8 +84,12 @@ class AutoencoderConfig:
     def __post_init__(self) -> None:
         if isinstance(self.loss, str):
             self.loss = parse_loss(self.loss)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        if min(self.epochs, self.batch_size, self.dim_z) < 1:
+            raise ConfigError("epochs, batch_size and dim_z must be >= 1")
+        if not 0.0 < self.learning_rate < np.inf:  # false for nan too
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

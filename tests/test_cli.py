@@ -281,6 +281,16 @@ class TestExperiment:
             "[experiment]\ntask = multiclass\n",
             "[data]\ncoeffs = 1,a\n",
             "[experiment]\nmodel = vea\n",
+            "[experiment]\nseed = -1\n",
+            "[experiment]\nlosses = standard,standard\n",
+            "[experiment]\nlosses = balanced,standard,balanced\n",
+            "[autoencoder]\nlearning_rate = -1\n",
+            "[autoencoder]\nlearning_rate = 0\n",
+            "[autoencoder]\nlearning_rate = nan\n",
+            "[autoencoder]\nlearning_rate = inf\n",
+            "[autoencoder]\ndim_z = 0\n",
+            "[experiment]\nmodel = vae\n[vae]\nlearning_rate = nan\n",
+            "[experiment]\nmodel = vae\n[vae]\ndim_z = 0\n",
         ],
     )
     def test_impossible_values_exit_2(self, tmp_path, capsys, text):
@@ -288,6 +298,23 @@ class TestExperiment:
         cfg.write_text(text)
         assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--seed", "-2", "--out", "data.csv"],
+            ["train", "--seed", "-1", "--epochs", "1"],
+            ["train", "--config", "bad.ini", "--epochs", "1"],
+            ["experiment", "--seed", "-1", "--dry-run"],
+            ["experiment", "--seed", "-1", "--epochs", "1"],
+        ],
+    )
+    def test_negative_seeds_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.ini").write_text("[train]\nseed = -1\n")
+        assert run_cli(*argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini"]  # nothing written
 
     def test_collapsed_reconstruction_is_scored(self, tmp_path):
         # On this seed, at 6 epochs, the balanced arm's test reconstruction

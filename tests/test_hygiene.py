@@ -116,6 +116,16 @@ def test_every_definition_is_referenced():
     assert dead == []
 
 
+def test_demos_write_no_absolute_tmp_paths():
+    """Demos write into the working directory, never to a fixed /tmp path."""
+    named = [
+        path.name
+        for path in sorted((ROOT / "demos").glob("*.py"))
+        if "/tmp/" in path.read_text(encoding="utf-8")
+    ]
+    assert named == []
+
+
 def test_benchmark_traced_names_resolve():
     """Every function the benchmark's tracer wraps is an attribute of its
     module, so a rename cannot silently break ``perfbench --trace 1``."""

@@ -174,6 +174,38 @@ class TestStatistics:
         assert_same(metrics.spearman, unique_spearman, x, y)
         assert_same(metrics.spearman, unique_spearman, x, rng.integers(0, 2, n))
 
+    @pytest.mark.parametrize("n", [metrics._SMALL_N - 1, metrics._SMALL_N, metrics._SMALL_N + 1])
+    def test_both_sides_of_the_small_input_cutoff(self, n):
+        rng = np.random.default_rng(n)
+        special = np.array(SPECIAL)[rng.integers(0, len(SPECIAL), n)]  # NaN, ±0.0, ±inf, ties
+        normal = rng.normal(size=n)
+        labels = np.array(["a", "b", "cc", ""])[rng.integers(0, 4, n)]
+        groups = rng.integers(0, 3, n)
+        assert metrics._small(special, labels) == (n < metrics._SMALL_N)
+        for x, y in [(special, normal), (groups, special), (normal, normal[::-1])]:
+            assert_same(metrics.spearman, unique_spearman, x, y)
+        for a, b in [(labels, special), (labels, groups), (special, groups)]:
+            assert_same(metrics.cramers_v, unique_cramers_v, a, b)
+        for x, g in [(normal, labels), (normal, special), (special, groups)]:
+            assert_same(metrics.eta_squared, unique_eta_squared, x, g)
+
+    def test_unorderable_labels_take_the_numpy_path(self):
+        # Python cannot order complex values, and .tolist() makes NaT None
+        a = np.array([1j, 2j, 1j, 0j])
+        b = np.array(["2020-01-01", "NaT", "2020-01-01", "NaT"], dtype="M8[D]")
+        assert_same(metrics.cramers_v, unique_cramers_v, a, b)
+        assert_same(metrics.eta_squared, unique_eta_squared, np.arange(4.0), b)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_eta_squared_sums_in_memory_order(self, seed):
+        # numpy reduces a Fortran-ordered x column by column and a reversed
+        # view in index order; the plain-Python path must not reorder either
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(4, 6)) * 10.0 ** rng.integers(-8, 8, (4, 6))
+        g = rng.integers(0, 3, (4, 6))
+        assert_same(metrics.eta_squared, unique_eta_squared, np.asfortranarray(x), g)
+        assert_same(metrics.eta_squared, unique_eta_squared, x.ravel()[::-1], g.ravel())
+
     def test_length_mismatch_raises_alike(self):
         for kernel, reference in [
             (metrics.spearman, unique_spearman),
