@@ -28,18 +28,17 @@ MODEL_CONFIGS = {"autoencoder": AutoencoderConfig, "vae": VAEConfig}
 
 def _defaults(cls, *keys: str) -> dict[str, str]:
     """A config section of ``cls``'s fields ``keys``, each at its default;
-    a tuple default as a comma list."""
+    a float as ``:g``, a tuple as a comma list."""
     default = cls()
     values = {key: getattr(default, key) for key in keys}
-    return {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in values.items()}
+    items = {k: v if isinstance(v, tuple) else (v,) for k, v in values.items()}
+    return {k: ",".join(f"{x:g}" if isinstance(x, float) else str(x) for x in v) for k, v in items.items()}
 
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "data": {
         "source": "synthetic",
-        "context": "imbalanced",
-        "n": "2000",
-        "coeffs": "1,1,1,1,1,1,1,1,1",
+        **_defaults(DataSource, "context", "n", "coeffs"),
         "csv_path": "",
         "schema_path": "",
         "target": "",
@@ -222,9 +221,10 @@ def cmd_train(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     vae = _model(cfg) == "vae"
-    if vae and args.epochs is not None:
-        raise ConfigError("--epochs sets [experiment] epochs; the VAE trains for [vae] epochs")
     _override(cfg, "experiment", seed=args.seed, epochs=args.epochs, losses=args.loss)
+    # a dumped config carries the default, so only a set value or the flag is refused
+    if vae and (args.epochs is not None or cfg["experiment"]["epochs"] != DEFAULTS["experiment"]["epochs"]):
+        raise ConfigError("[experiment] epochs and --epochs are AE budgets; the VAE trains for [vae] epochs")
     exp_cfg = _experiment_from_config(cfg)
     jobs = args.jobs if args.jobs is not None else _parse(cfg, "output", "jobs", 0)
     if args.dry_run:

@@ -222,6 +222,8 @@ def eta_squared(x: np.ndarray, g: np.ndarray) -> float:
     gi, counts = (_scalar_levels if small else _levels)(g)
     if len(counts) < 2:
         raise EmptyGroup("need at least 2 non-empty groups")
+    if x.min() == x.max():  # the mean of one value need not round back to it: SST > 0
+        raise ZeroVariance("x has zero total variance")
     if small:
         values = x.ravel().tolist()
         mean = _scalar_sum(values) / x.size

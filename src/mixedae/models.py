@@ -145,6 +145,20 @@ def _arms(cfg, losses, train: EncodedMatrix, weights: LossWeights | None) -> tup
     return arms, [weights if a.loss.needs_weights else None for a in arms], table
 
 
+def _epochs(train: EncodedMatrix, cfg, table: np.ndarray | None, epochs: int):
+    """Per epoch, an iterator over its batches as (row indices, rows, weight
+    table rows or None), each gathered when the step asks for it. Rows are
+    reshuffled every epoch from the run seed and the final short batch is
+    kept, so training is bit-reproducible given (data, config, seed) and a
+    shorter training is a prefix of a longer one's."""
+    X, size = train.values, cfg.batch_size
+    shuffle = make_rng(derive_seed(cfg.seed, 1))
+    for _ in range(epochs):
+        order = shuffle.permutation(X.shape[0])
+        yield ((idx, X[idx], None if table is None else table[idx])
+               for idx in (order[start : start + size] for start in range(0, X.shape[0], size)))
+
+
 def _scores_from_output(output: np.ndarray, spec: LossSpec, groups) -> np.ndarray:
     """Map raw network outputs to reconstruction scores in the data space."""
     if spec.kind != "ce":
@@ -177,12 +191,10 @@ def train_autoencoder_arms(
     """Mini-batch Adam with inputs as targets, one arm per loss, run to
     ``max(budgets)`` with a snapshot of every arm at every budget.
 
-    Rows are reshuffled every epoch from the run seed and the final short
-    batch is kept, so training is bit-reproducible given (data, config,
-    seed) and a shorter budget's training is a prefix of a longer one's:
-    each snapshot equals a separate training at its budget bit for bit.
-    The arms share init and shuffles, so they train in lockstep as one
-    stacked network (phi's layers, then psi's), each bit for bit as alone.
+    Batches come from :func:`_epochs`, so each snapshot equals a separate
+    training at its budget bit for bit. The arms share init and shuffles,
+    so they train in lockstep as one stacked network (phi's layers, then
+    psi's) with one Adam state, each bit for bit as alone.
     Per-feature training MSE is recorded at each budget's 10 checkpoint
     epochs; each snapshot's config carries its loss and budget. A
     non-finite loss aborts with :class:`NonFinite`; a weighted arm's
@@ -197,8 +209,7 @@ def train_autoencoder_arms(
 
     phi, psi = build_autoencoder(train.width, cfg.dim_z, derive_seed(cfg.seed, 0))
     net = Network.stack([Network(phi.layers + psi.layers)] * len(arms))
-    opt = nn.AdamState.for_network(net)
-    shuffle = make_rng(derive_seed(cfg.seed, 1))
+    opt = nn.AdamState.like(net.params)
 
     def halves(i: int) -> tuple[Network, Network]:
         layers = net.arm(i).layers
@@ -208,14 +219,9 @@ def train_autoencoder_arms(
     logged = set().union(*checkpoints.values())
     errors: list[dict[int, np.ndarray]] = [{} for _ in arms]
     snapshots: list[dict[int, TrainedAutoencoder]] = [{} for _ in arms]
-    n = X.shape[0]
 
-    for epoch in range(1, max(budgets) + 1):
-        order = shuffle.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = X[idx]
-            wb = None if table is None else table[idx]
+    for epoch, batches in enumerate(_epochs(train, cfg, table, max(budgets)), 1):
+        for _, xb, wb in batches:
             trace = forward(net, xb)
             out = trace.output
             d_out = np.empty_like(out)
@@ -230,7 +236,8 @@ def train_autoencoder_arms(
                     pred /= _SPAN
                 if not np.isfinite(value):
                     raise NonFinite(f"{arm.loss.label} loss became non-finite at epoch {epoch}")
-            adam_step(opt, net, backward(net, trace, d_out, need_input=False), cfg.learning_rate)
+            adam_step(opt, net.params, backward(net, trace, d_out, need_input=False).flat,
+                      cfg.learning_rate)
         if epoch in logged:
             for i, arm in enumerate(arms):
                 phi_i, psi_i = halves(i)
@@ -405,15 +412,14 @@ def train_vae_arms(
 
     The target is min-max scaled to [0, 1] from the training split so the
     target head's MSE is on the same footing as the feature block; the
-    inverse map is applied when generating. The arms share init, shuffles
-    and noise, so they train in lockstep on stacked networks, each bit for
-    bit as alone. A weighted arm's non-0/1 categorical entry raises
-    :class:`NonBinaryTarget` before the first step.
+    inverse map is applied when generating. Batches come from :func:`_epochs`.
+    The arms share init, shuffles and noise, so they train in lockstep on
+    stacked networks, each bit for bit as alone, and the six networks share
+    one buffer and one Adam state. A weighted arm's non-0/1 categorical
+    entry raises :class:`NonBinaryTarget` before the first step.
     """
-    X = train.values
-    enc = train.encoder
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.shape[0],):
+    if y.shape != (train.n,):
         raise ShapeError("y must be a vector with one entry per training row")
     y_lo, y_hi = float(y.min()), float(y.max())
     if y_hi <= y_lo:
@@ -423,21 +429,17 @@ def train_vae_arms(
     arms, weights, table = _arms(cfg, losses, train, weights)
     base = build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
     nets = VAENets(*(Network.stack([net] * len(arms)) for net in base.all()))
-    opts = [nn.AdamState.for_network(net) for net in nets.all()]
-    shuffle = make_rng(derive_seed(cfg.seed, 1))
+    params, spans = Network.share(nets.all())
+    opt = nn.AdamState.like(params)
     noise_rng = make_rng(derive_seed(cfg.seed, 2))
 
     checkpoints = checkpoint_epochs(cfg.epochs)
     history: list[list[tuple[int, float]]] = [[] for _ in arms]
-    n = X.shape[0]
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle.permutation(n)
+    for epoch, batches in enumerate(_epochs(train, cfg, table, cfg.epochs), 1):
         last_values = [np.nan] * len(arms)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb, yb = X[idx], ys[idx]
-            wb = None if table is None else table[idx]
+        for idx, xb, wb in batches:
+            yb = ys[idx]
             t1 = forward(nets.hl1, xb)
             t_mu = forward(nets.hl21, t1.output)
             t_lv = forward(nets.hl22, t1.output)
@@ -459,25 +461,26 @@ def train_vae_arms(
                 if not np.isfinite(last_values[i]):
                     raise NonFinite(f"{arm.loss.label} VAE loss non-finite at epoch {epoch}")
 
-            g41 = backward(nets.hl41, t_x, gx)
-            g42 = backward(nets.hl42, t_y, gy)
+            # made after the losses: the AE trained slower with its gradient made before forward
+            grad = np.empty_like(params)
+            d1, d21, d22, d3, d41, d42 = (grad[..., span] for span in spans)
+            g41 = backward(nets.hl41, t_x, gx, out=d41)
+            g42 = backward(nets.hl42, t_y, gy, out=d42)
             del t_x, gx  # frees the (M, B, p) head buffer before the next step
-            g3 = backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input)
+            g3 = backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input, out=d3)
             dz = g3.wrt_input
             d_mu = dz + g_mu_kl
             d_lv = dz * eps * 0.5 * np.exp(0.5 * logvar) + g_lv_kl
-            g21 = backward(nets.hl21, t_mu, d_mu)
-            g22 = backward(nets.hl22, t_lv, d_lv)
-            g1 = backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input, need_input=False)
-
-            for net, opt, g in zip(nets.all(), opts, [g1, g21, g22, g3, g41, g42]):
-                adam_step(opt, net, g, cfg.learning_rate)
+            g21 = backward(nets.hl21, t_mu, d_mu, out=d21)
+            g22 = backward(nets.hl22, t_lv, d_lv, out=d22)
+            backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input, need_input=False, out=d1)
+            adam_step(opt, params, grad, cfg.learning_rate)
         if epoch in checkpoints:
             for h, value in zip(history, last_values):
                 h.extend([(epoch, value)] * checkpoints.count(epoch))
 
     return [
-        TrainedVAE(VAENets(*(net.arm(i) for net in nets.all())), enc, weights[i], arm,
+        TrainedVAE(VAENets(*(net.arm(i) for net in nets.all())), train.encoder, weights[i], arm,
                    (y_lo, y_hi), np.asarray(history[i]))
         for i, arm in enumerate(arms)
     ]

@@ -1,12 +1,13 @@
 """Dense feed-forward networks with exact reverse-mode gradients and Adam.
 
 Everything is float64 numpy. A network's layers are views into one
-``params`` vector, so Adam updates it whole. Forward returns the full
-activation trace so backward can run the chain rule without
-recomputation. ``backward`` also returns the gradient with respect to
-the batch input, which is how the VAE pieces are chained. A stacked
-network (:meth:`Network.stack`) holds M networks of one shape along a
-leading axis, and one call serves all M, each bit for bit as alone.
+``params`` vector (several networks can share one: :meth:`Network.share`),
+so Adam updates a model whole. Forward returns the full activation trace so
+backward can run the chain rule without recomputation. ``backward`` also
+returns the gradient with respect to the batch input, which is how the VAE
+pieces are chained. A stacked network (:meth:`Network.stack`) holds M
+networks of one shape on a leading axis; one call serves all M, each bit
+for bit as alone.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _ACT_CODES = {IDENTITY: 0, TANH: 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 _MAGIC = b"MAEN1\n"
+# Adam's decay rates and denominator guard: Kingma & Ba's defaults, fixed
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -46,9 +49,13 @@ class Network:
 
     def __post_init__(self) -> None:
         lead = np.shape(self.layers[0].b)[:-1]  # (M,) when stacked
-        self.params = np.concatenate([np.reshape(a, (*lead, -1)) for l in self.layers
-                                      for a in (l.W, l.b)], axis=-1, dtype=np.float64)
-        views = self.layer_views(self.params)
+        self._bind(np.concatenate([np.reshape(a, (*lead, -1)) for l in self.layers
+                                   for a in (l.W, l.b)], axis=-1, dtype=np.float64))
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make ``params`` (laid out like the current one) this network's buffer."""
+        self.params = params
+        views = self.layer_views(params)
         self.layers = [Layer(W, b, l.activation) for (W, b), l in zip(views, self.layers)]
 
     @classmethod
@@ -60,6 +67,17 @@ class Network:
         return cls([Layer(np.stack([n.layers[k].W for n in nets]),
                           np.stack([n.layers[k].b for n in nets]), l.activation)
                     for k, l in enumerate(nets[0].layers)])
+
+    @staticmethod
+    def share(nets: list["Network"]) -> tuple[np.ndarray, list[slice]]:
+        """One buffer of ``nets``' params side by side on the last axis, and each
+        network's span of it; each ``params`` (and W/b) becomes a view of its span."""
+        ends = np.cumsum([net.params.shape[-1] for net in nets]).tolist()
+        spans = [slice(end - net.params.shape[-1], end) for net, end in zip(nets, ends)]
+        buffer = np.concatenate([net.params for net in nets], axis=-1)
+        for net, span in zip(nets, spans):
+            net._bind(buffer[..., span])
+        return buffer, spans
 
     def arm(self, i: int) -> "Network":
         """Arm ``i`` of a stacked network, as an independent plain network."""
@@ -105,7 +123,7 @@ class Gradients:
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     wrt_input: np.ndarray | None  # None when backward skipped it
-    flat: np.ndarray | None = None  # what ``layers`` views, laid out like params
+    flat: np.ndarray  # what ``layers`` views, laid out like params
 
 
 def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
@@ -145,15 +163,16 @@ def forward(net: Network, batch: np.ndarray) -> Trace:
     return Trace(activations)
 
 
-def backward(net: Network, trace: Trace, d_output: np.ndarray, need_input: bool = True) -> Gradients:
-    """Exact gradients of the scalar loss whose output-gradient is supplied;
-    ``need_input=False`` skips the input gradient (``wrt_input`` is None)."""
+def backward(net: Network, trace: Trace, d_output: np.ndarray, need_input: bool = True,
+             out: np.ndarray | None = None) -> Gradients:
+    """Exact gradients of the scalar loss whose output-gradient is supplied, into
+    ``out`` if given; ``need_input=False`` skips the input gradient (``wrt_input`` is None)."""
     d_output = np.asarray(d_output, dtype=np.float64)
     if d_output.shape != trace.output.shape:
         raise ShapeError(
             f"d_output shape {d_output.shape} != output shape {trace.output.shape}"
         )
-    flat = np.empty_like(net.params)
+    flat = np.empty_like(net.params) if out is None else out
     grads = net.layer_views(flat)
     delta = d_output
     for k in range(len(net.layers) - 1, -1, -1):
@@ -172,38 +191,31 @@ def backward(net: Network, trace: Trace, d_output: np.ndarray, need_input: bool 
 
 @dataclass
 class AdamState:
-    m: np.ndarray  # moments, laid out like Network.params
+    m: np.ndarray  # moments, laid out like the parameters they update
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_network(cls, net: Network, **kw) -> "AdamState":
-        return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), **kw)
+    def like(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(state: AdamState, net: Network, grads: Gradients, lr: float) -> None:
-    """Standard Adam update with bias correction, in place, on the whole
-    parameter vector; elementwise, so it equals a per-layer update bit for bit.
-    Two scratch buffers replace the temporaries, with each operation unchanged."""
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """Standard Adam update with bias correction, in place, on a whole parameter
+    buffer; elementwise, so it equals a per-layer or per-network update bit for
+    bit. Two scratch buffers replace the temporaries, with each operation unchanged."""
     state.step += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1 = 1.0 - b1**state.step
-    c2 = 1.0 - b2**state.step
-    g = grads.flat
-    if g is None:
-        g = np.concatenate([a.ravel() for pair in grads.layers for a in pair])
+    c1 = 1.0 - _BETA1**state.step
+    c2 = 1.0 - _BETA2**state.step
     m, v, s = state.m, state.v, np.empty_like(state.m)
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=s)
-    v *= b2
-    v += np.multiply(np.multiply(g, g, out=s), 1.0 - b2, out=s)
+    m *= _BETA1
+    m += np.multiply(grad, 1.0 - _BETA1, out=s)
+    v *= _BETA2
+    v += np.multiply(np.multiply(grad, grad, out=s), 1.0 - _BETA2, out=s)
     t = np.divide(m, c1)
     t *= lr
-    t /= np.add(np.sqrt(np.divide(v, c2, out=s), out=s), eps, out=s)
-    net.params -= t
+    t /= np.add(np.sqrt(np.divide(v, c2, out=s), out=s), _EPS, out=s)
+    params -= t
 
 
 # ----------------------------------------------------------------------

@@ -216,7 +216,7 @@ def chained_autoencoder_budgets(train, cfg, budgets, weights=None):
     span = models.OUT_HIGH - models.OUT_LOW
 
     phi, psi = models.build_autoencoder(train.width, cfg.dim_z, derive_seed(cfg.seed, 0))
-    opt_phi, opt_psi = nn.AdamState.for_network(phi), nn.AdamState.for_network(psi)
+    opt_phi, opt_psi = nn.AdamState.like(phi.params), nn.AdamState.like(psi.params)
     shuffle = make_rng(derive_seed(cfg.seed, 1))
     checkpoints = {b: models.checkpoint_epochs(b) for b in budgets}
     logged = set().union(*checkpoints.values())
@@ -234,8 +234,8 @@ def chained_autoencoder_budgets(train, cfg, budgets, weights=None):
             d_out = d_pred / span if use_adapter else d_pred
             g_psi = nn.backward(psi, t_psi, d_out)
             g_phi = nn.backward(phi, t_phi, g_psi.wrt_input)
-            nn.adam_step(opt_phi, phi, g_phi, cfg.learning_rate)
-            nn.adam_step(opt_psi, psi, g_psi, cfg.learning_rate)
+            nn.adam_step(opt_phi, phi.params, g_phi.flat, cfg.learning_rate)
+            nn.adam_step(opt_psi, psi.params, g_psi.flat, cfg.learning_rate)
         if epoch in logged:
             o = nn.forward(psi, nn.forward(phi, X).output).output
             scores = models._scores_from_output(o, cfg.loss, groups)
@@ -259,7 +259,7 @@ def separate_vae(train, y, cfg, weights=None):
     if cfg.loss.needs_weights and weights is None:
         weights = compute_balance_weights(enc)
     nets = models.build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
-    opts = [nn.AdamState.for_network(net) for net in nets.all()]
+    opts = [nn.AdamState.like(net.params) for net in nets.all()]
     shuffle = make_rng(derive_seed(cfg.seed, 1))
     noise_rng = make_rng(derive_seed(cfg.seed, 2))
     checkpoints = models.checkpoint_epochs(cfg.epochs)
@@ -293,7 +293,7 @@ def separate_vae(train, y, cfg, weights=None):
             g22 = nn.backward(nets.hl22, t_lv, d_lv)
             g1 = nn.backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input)
             for net, opt, g in zip(nets.all(), opts, [g1, g21, g22, g3, g41, g42]):
-                nn.adam_step(opt, net, g, cfg.learning_rate)
+                nn.adam_step(opt, net.params, g.flat, cfg.learning_rate)
         for _ in range(checkpoints.count(epoch)):
             history.append((epoch, last_value))
     return nets, np.asarray(history)
@@ -361,6 +361,8 @@ def unique_eta_squared(x, g):
     _, gi, counts = np.unique(g, return_inverse=True, return_counts=True)
     if counts.size < 2:
         raise EmptyGroup("need at least 2 non-empty groups")
+    if np.all(x == x.flat[0]):  # one distinct value
+        raise ZeroVariance("x has zero total variance")
     total = x - x.mean()
     sst = float(np.sum(total * total))
     if sst == 0.0:

@@ -29,7 +29,7 @@ from mixedae.models import (
     parse_loss,
     reparameterize,
     train_autoencoder,
-    train_vae,
+    train_vae_arms,
     vae_loss,
     vae_reconstruct,
 )
@@ -89,10 +89,9 @@ def vae_runs():
         train, test = split(data, 0.4, derive_seed(MASTER_SEED, run, 0))
         enc = fit_encoder(train)
         X = encode(train, enc)
-        for loss in out:
-            model = train_vae(
-                X, train.y, VAEConfig(epochs=1000, loss=loss, seed=derive_seed(MASTER_SEED, run, 1))
-            )
+        # both losses in lockstep: each arm has the bits of its own training
+        cfg = VAEConfig(epochs=1000, seed=derive_seed(MASTER_SEED, run, 1))
+        for loss, model in zip(out, train_vae_arms(X, train.y, cfg, tuple(out))):
             out[loss].append(metrics.msem(test, vae_reconstruct(model, test), enc))
     return {k: np.asarray(v) for k, v in out.items()}
 

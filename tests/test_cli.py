@@ -332,17 +332,37 @@ class TestExperiment:
 
     def test_vae_dry_run_reports_the_vae_budget(self, tmp_path, capsys):
         cfg = tmp_path / "vae.ini"
-        cfg.write_text("[experiment]\nmodel = vae\nepochs = 5\n[vae]\nepochs = 3\n")
+        cfg.write_text("[experiment]\nmodel = vae\n[vae]\nepochs = 3\n")
         assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 0
         assert "epochs [3]" in capsys.readouterr().out
 
     def test_vae_rejects_the_epochs_flag(self, tmp_path, capsys):
         cfg = tmp_path / "vae.ini"
         cfg.write_text(f"[experiment]\nmodel = vae\n[vae]\nepochs = 3\n[output]\ndir = {tmp_path / 'out'}\n")
+        in_file = tmp_path / "vae_epochs.ini"
+        in_file.write_text(cfg.read_text().replace("model = vae\n", "model = vae\nepochs = 5\n"))
+        # the flag is refused at every value, the default included; so is the key in the file
+        for argv in (["--epochs", "1"], ["--epochs", "1000"], ["--epochs", "0"]):
+            for extra in (["--dry-run"], []):
+                assert run_cli("experiment", "--config", str(cfg), *argv, *extra) == 2
+                assert "[vae] epochs" in capsys.readouterr().err
         for extra in (["--dry-run"], []):
-            assert run_cli("experiment", "--config", str(cfg), "--epochs", "1", *extra) == 2
+            assert run_cli("experiment", "--config", str(in_file), *extra) == 2
             assert "[vae] epochs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_vae_non_finite_loss_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "vae.ini"
+        cfg.write_text(
+            "[data]\nn = 600\n[experiment]\nmodel = vae\nruns = 1\nlosses = standard\n"
+            f"[vae]\nepochs = 3\nlearning_rate = 100\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        with np.errstate(all="ignore"):
+            assert run_cli("experiment", "--config", str(cfg)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "standard VAE loss non-finite at epoch 1" in err
+        assert not (tmp_path / "out" / "report.csv").exists()
 
     @pytest.mark.parametrize("where", ["kindless-line", "directory", "non-utf8"])
     def test_unreadable_schema_sidecar_exits_3(self, tmp_path, capsys, where):

@@ -182,8 +182,16 @@ class TestEtaSquared:
     def test_errors(self):
         with pytest.raises(errors.EmptyGroup):
             eta_squared(np.arange(4.0), np.zeros(4, dtype=int))
-        with pytest.raises(errors.ZeroVariance):
-            eta_squared(np.ones(4), np.array([0, 0, 1, 1]))
+        # constant columns whose mean does not round back to the value, on
+        # the plain-Python path (under 24 values) and on the numpy path
+        for x, g in [
+            (np.ones(4), [0, 0, 1, 1]),
+            (np.full(3, 0.1), [0, 1, 1]),
+            (np.full(7, 0.7), [0] * 6 + [1]),
+            (np.full(30, 0.7), [0, 1, 2] * 10),
+        ]:
+            with pytest.raises(errors.ZeroVariance):
+                eta_squared(x, np.array(g))
 
 
 class TestMixedCorrelation:

@@ -223,6 +223,61 @@ class TestLockstepArms:
             models.train_vae_arms(X, train.y, VAEConfig(), ())
 
 
+class TestTrainingLoop:
+    def test_one_adam_step_per_batch_on_one_buffer(self, synthetic_split, monkeypatch):
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        n = X.values.shape[0]
+        calls = []
+
+        def counting_adam_step(state, params, grad, lr):
+            calls.append((state, params))
+            nn.adam_step(state, params, grad, lr)
+
+        monkeypatch.setattr(models, "adam_step", counting_adam_step)
+        models.train_autoencoder_arms(X, AutoencoderConfig(batch_size=64, seed=1), ("standard", "balanced"), (2, 3))
+        assert len(calls) == 3 * -(-n // 64)
+        assert len({id(state) for state, _ in calls}) == 1
+        calls.clear()
+        cfg = VAEConfig(epochs=2, batch_size=100, dim_hidden=8, seed=1)
+        models.train_vae_arms(X, train.y, cfg, ("standard", "balanced"))
+        assert len(calls) == 2 * -(-n // 100)  # not six per batch, one per network
+        assert len({id(state) for state, _ in calls}) == 1
+        six = build_vae(X.width, cfg.dim_hidden, cfg.dim_z, seed=0).all()
+        assert calls[0][1].shape == (2, sum(net.params.size for net in six))
+
+    def test_vae_non_finite_loss_names_arm_and_epoch(self, synthetic_split):
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        # one batch per epoch: the first step's loss is finite, the second's is not
+        cfg = VAEConfig(epochs=5, batch_size=512, learning_rate=100.0, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(errors.NonFinite) as e:
+            models.train_vae_arms(X, train.y, cfg, ("blended:0.3", "standard"))
+        assert str(e.value) == "blended:0.3 VAE loss non-finite at epoch 2"
+
+    def test_autoencoder_non_finite_loss_names_arm_and_epoch(self, synthetic_split, monkeypatch):
+        # the final tanh keeps the real loss finite, so the weighted arm's
+        # loss is made NaN from its second epoch on
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        per_epoch = -(-X.values.shape[0] // 128)
+        weighted_calls = []
+        real = models._weighted_mse
+
+        def nan_from_epoch_2(pred, target, w=None, alpha=None, out=None):
+            value, grad = real(pred, target, w, alpha, out=out)
+            if w is not None:
+                weighted_calls.append(1)
+                if len(weighted_calls) > per_epoch:
+                    value = np.nan
+            return value, grad
+
+        monkeypatch.setattr(models, "_weighted_mse", nan_from_epoch_2)
+        with pytest.raises(errors.NonFinite) as e:
+            models.train_autoencoder_arms(X, AutoencoderConfig(seed=1), ("standard", "balanced"), (4,))
+        assert str(e.value) == "balanced loss became non-finite at epoch 2"
+
+
 @pytest.fixture(scope="module")
 def model(synthetic_split):
     train, _, enc = synthetic_split

@@ -159,29 +159,26 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         net = nn.init_network([3, 2], [nn.TANH], seed=0)
         before = net.layers[0].W.copy()
-        state = nn.AdamState.for_network(net)
-        zero = nn.Gradients([(np.zeros((2, 3)), np.zeros(2))], np.zeros((1, 3)))
+        state = nn.AdamState.like(net.params)
         for _ in range(10):
-            nn.adam_step(state, net, zero, lr=0.1)
+            nn.adam_step(state, net.params, np.zeros(8), lr=0.1)
         assert np.array_equal(before, net.layers[0].W)
 
     def test_first_step_size(self):
         # constant unit gradient: bias-corrected m/sqrt(v) = 1, step ~ lr
         net = nn.Network([nn.Layer(np.array([[1.0]]), np.zeros(1), nn.IDENTITY)])
-        state = nn.AdamState.for_network(net)
-        g = nn.Gradients([(np.array([[1.0]]), np.zeros(1))], np.zeros((1, 1)))
-        nn.adam_step(state, net, g, lr=0.1)
+        state = nn.AdamState.like(net.params)
+        nn.adam_step(state, net.params, np.array([1.0, 0.0]), lr=0.1)
         assert net.layers[0].W[0, 0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
     def test_identical_streams_identical_trajectories(self):
         rng = make_rng(5)
         nets = [nn.init_network([3, 2], [nn.IDENTITY], seed=4) for _ in range(2)]
-        states = [nn.AdamState.for_network(n) for n in nets]
+        states = [nn.AdamState.like(n.params) for n in nets]
         for _ in range(20):
-            gW = rng.random((2, 3))
-            g = nn.Gradients([(gW, np.zeros(2))], np.zeros((1, 3)))
+            g = np.concatenate([rng.random(6), np.zeros(2)])  # dW, then db
             for net, st in zip(nets, states):
-                nn.adam_step(st, net, g, lr=0.01)
+                nn.adam_step(st, net.params, g, lr=0.01)
         assert np.array_equal(nets[0].layers[0].W, nets[1].layers[0].W)
 
     def test_loss_monotone_after_warmup(self):
@@ -191,26 +188,24 @@ class TestAdam:
         true_w = rng.random((2, 4))
         Y = X @ true_w.T
         net = nn.init_network([4, 2], [nn.IDENTITY], seed=1)
-        state = nn.AdamState.for_network(net)
+        state = nn.AdamState.like(net.params)
         losses = []
         for _ in range(200):
             trace = nn.forward(net, X)
             value, dout = mse_loss(trace.output, Y)
             losses.append(value)
-            nn.adam_step(state, net, nn.backward(net, trace, dout), lr=0.01)
+            nn.adam_step(state, net.params, nn.backward(net, trace, dout).flat, lr=0.01)
         tail = np.array(losses[10:])
         assert np.all(np.diff(tail) <= 1e-12)
 
-    @pytest.mark.parametrize("flat_grads", [True, False])
-    def test_flat_update_matches_layerwise_reference(self, flat_grads):
+    def test_flat_update_matches_layerwise_reference(self):
         # 3-layer net, 50 steps: the one-buffer update equals Adam applied
-        # layer by layer, bit for bit, with backward's flat gradients and
-        # with hand-built per-layer ones
+        # layer by layer, bit for bit
         rng = make_rng(12)
         dims, acts = [6, 5, 4, 3], [nn.TANH, nn.TANH, nn.IDENTITY]
         net = nn.init_network(dims, acts, seed=2)
         ref = [a.copy() for l in net.layers for a in (l.W, l.b)]
-        state = nn.AdamState.for_network(net)
+        state = nn.AdamState.like(net.params)
         oracle = LayerwiseAdam(ref)
         for _ in range(50):
             x, t = rng.random((8, 6)), rng.random((8, 3))
@@ -221,9 +216,7 @@ class TestAdam:
 
             trace = nn.forward(net, x)
             g = nn.backward(net, trace, mse_loss(trace.output, t)[1])
-            if not flat_grads:
-                g = nn.Gradients([(dW.copy(), db.copy()) for dW, db in g.layers], g.wrt_input)
-            nn.adam_step(state, net, g, lr=0.01)
+            nn.adam_step(state, net.params, g.flat, lr=0.01)
             got = [a for l in net.layers for a in (l.W, l.b)]
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
@@ -241,6 +234,40 @@ class TestParameterBuffer:
                 assert np.shares_memory(layer.b, n.params)
             n.params[:] = 0.25
             assert all(np.all(l.W == 0.25) and np.all(l.b == 0.25) for l in n.layers)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_shared_buffer_steps_equal_per_network_steps(self, stack):
+        # two networks in one buffer, one gradient written per network by
+        # backward's out=, one Adam state: each equals its own update
+        def nets():
+            pair = [nn.init_network([6, 5, 4], [nn.TANH, nn.IDENTITY], seed=1),
+                    nn.init_network([4, 3], [nn.TANH], seed=2)]
+            return [nn.Network.stack([n, n]) for n in pair] if stack else pair
+
+        rng = make_rng(3)
+        shared, alone = nets(), nets()
+        buffer, spans = nn.Network.share(shared)
+        assert buffer.shape == (*shared[0].params.shape[:-1], sum(n.params.shape[-1] for n in alone))
+        for net, span, ref in zip(shared, spans, alone):
+            assert np.array_equal(buffer[..., span], ref.params)
+            assert all(np.shares_memory(a, buffer) for l in net.layers for a in (l.W, l.b))
+        state, states = nn.AdamState.like(buffer), [nn.AdamState.like(n.params) for n in alone]
+        for _ in range(20):
+            x = rng.random((7, 6))
+            grad = np.empty_like(buffer)
+            for net, span, ref, st in zip(shared, spans, alone, states):
+                trace, ref_trace = nn.forward(net, x), nn.forward(ref, x)
+                d_out = rng.random(trace.output.shape)
+                g = nn.backward(net, trace, d_out, out=grad[..., span])
+                g_ref = nn.backward(ref, ref_trace, d_out)
+                assert np.shares_memory(g.flat, grad)
+                assert np.array_equal(g.flat, g_ref.flat)
+                assert np.array_equal(g.wrt_input, g_ref.wrt_input)
+                nn.adam_step(st, ref.params, g_ref.flat, lr=0.01)
+                x = trace.output
+            nn.adam_step(state, buffer, grad, lr=0.01)
+            for net, ref in zip(shared, alone):
+                assert np.array_equal(net.params, ref.params)
 
 
 def arm_nets(n_arms=3, dims=(6, 5, 4, 3), acts=(nn.TANH, nn.TANH, nn.IDENTITY)):
@@ -311,8 +338,8 @@ class TestStackedNetwork:
         rng = make_rng(4)
         nets = arm_nets()
         stacked = nn.Network.stack(nets)
-        states = [nn.AdamState.for_network(n) for n in nets]
-        stacked_state = nn.AdamState.for_network(stacked)
+        states = [nn.AdamState.like(n.params) for n in nets]
+        stacked_state = nn.AdamState.like(stacked.params)
         for step in range(30):
             rows = (8, 5, 1)[step % 3]
             x = rng.random((3, rows, 6)) if per_arm else rng.random((rows, 6))
@@ -327,8 +354,8 @@ class TestStackedNetwork:
                     assert np.array_equal(a[i], a_i)
                 assert np.array_equal(g.flat[i], g_i.flat)
                 assert np.array_equal(g.wrt_input[i], g_i.wrt_input)
-                nn.adam_step(states[i], net, g_i, lr=0.01)
-            nn.adam_step(stacked_state, stacked, g, lr=0.01)
+                nn.adam_step(states[i], net.params, g_i.flat, lr=0.01)
+            nn.adam_step(stacked_state, stacked.params, g.flat, lr=0.01)
             for i, net in enumerate(nets):
                 assert np.array_equal(stacked.params[i], net.params)
 
