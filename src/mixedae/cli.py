@@ -140,10 +140,6 @@ def _model(cfg) -> str:
 
 def _source_from_config(cfg) -> DataSource:
     data = cfg["data"]
-    if data["source"] not in ("synthetic", "csv"):
-        raise ConfigError(f"[data] source must be synthetic or csv, got {data['source']!r}")
-    if data["source"] == "csv" and not data["csv_path"]:
-        raise ConfigError("[data] csv_path is required when source = csv")
     return _dataclass(
         cfg,
         "data",
@@ -180,7 +176,7 @@ def _experiment_from_config(cfg) -> ExperimentConfig:
 def cmd_generate(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    data = tabular.generate_synthetic(args.context, args.n, args.seed)
+    data = experiments.load_source(DataSource(context=args.context, n=args.n), args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     tabular.write_csv(data, out)

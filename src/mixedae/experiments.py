@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, models, tabular
-from .errors import ConfigError, DataError, MixedAEError
+from .errors import ConfigError, DataError, FractionOutOfRange, InvalidContext, MixedAEError
 from .models import AutoencoderConfig, LearningCurves, VAEConfig, parse_loss
 from .rng import derive_seed, make_rng
 from .tabular import Dataset, EncodedMatrix, encode, fit_encoder, split
@@ -191,6 +190,16 @@ class DataSource:
     schema_path: str | None = None
     target: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("synthetic", "csv"):
+            raise ConfigError(f"data source must be synthetic or csv, got {self.kind!r}")
+        if self.kind == "csv" and not self.path:
+            raise ConfigError("a csv data source needs a path ([data] csv_path)")
+        if self.context not in tabular.CONTEXTS:
+            raise InvalidContext(f"context must be one of {tabular.CONTEXTS}, got {self.context!r}")
+        if self.n < 1 or len(self.coeffs) != 9:
+            raise ConfigError(f"need n >= 1 and 9 coeffs, got n = {self.n} and {len(self.coeffs)} coeffs")
+
     @property
     def label(self) -> str:
         return self.context if self.kind == "synthetic" else Path(self.path or "csv").stem
@@ -220,10 +229,14 @@ class ExperimentConfig:
             raise ConfigError(f"task {self.task} needs class targets; synthetic ones are continuous")
         for loss in self.losses:
             parse_loss(loss)  # validates
-        if len(set(self.losses)) < len(self.losses):
-            raise ConfigError(f"losses must not repeat, got {self.losses}")
+        if not self.losses or len(set(self.losses)) < len(self.losses):
+            raise ConfigError(f"losses must list at least one loss, none twice, got {self.losses}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.test_fraction < 1.0:  # false for nan too
+            raise FractionOutOfRange(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.clusters < 1:
+            raise ConfigError(f"clusters must be >= 1, got {self.clusters}")
 
 
 @dataclass(frozen=True)
@@ -311,16 +324,12 @@ def load_report_csv(path: str | Path) -> ExperimentReport:
 def load_source(source: DataSource, seed: int) -> Dataset:
     if source.kind == "synthetic":
         return tabular.generate_synthetic(source.context, source.n, seed, source.coeffs)
-    if source.kind == "csv":
-        if source.path is None:
-            raise ConfigError("csv source needs a path")
-        schema = None
-        target = source.target
-        if source.schema_path:
-            schema, sidecar_target = tabular.load_schema_sidecar(source.schema_path)
-            target = target or sidecar_target
-        return tabular.read_csv(source.path, schema, target=target)
-    raise ConfigError(f"unknown data source kind {source.kind!r}")
+    schema = None
+    target = source.target
+    if source.schema_path:
+        schema, sidecar_target = tabular.load_schema_sidecar(source.schema_path)
+        target = target or sidecar_target
+    return tabular.read_csv(source.path, schema, target=target)
 
 
 def _downstream_metrics(
@@ -455,6 +464,14 @@ def _run_once(kind: str, data: Dataset, cfg: ExperimentConfig, run: int) -> tupl
         return rows, curves
     except MixedAEError as e:
         raise type(e)(f"run {run} (split seed {split_seed}): {e}") from e
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported on the first call, so that
+    only a run that forks loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _map_runs(run_once, data: Dataset, cfg: ExperimentConfig, jobs: int) -> list:

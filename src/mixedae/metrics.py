@@ -360,11 +360,15 @@ def _pairwise_sum(term, lo: int, hi: int):
     if n < 8:
         res, end = (term(lo) if n else 0.0), min(lo + 1, hi)
     else:  # eight running sums of every eighth term, added as a tree
-        r = [term(k) for k in range(lo, lo + 8)]
         end = hi - n % 8
-        for k in range(lo + 8, end):
-            r[(k - lo) % 8] += term(k)
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+
+        def r(j: int):  # built one at a time: at most four are held at once
+            s = term(lo + j)
+            for k in range(lo + j + 8, end, 8):
+                s += term(k)
+            return s
+
+        res = ((r(0) + r(1)) + (r(2) + r(3))) + ((r(4) + r(5)) + (r(6) + r(7)))
     for k in range(end, hi):  # the rest, left to right
         res += term(k)
     return res
@@ -387,11 +391,18 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     # direct differences (|x|^2 + |y|^2 - 2xy loses ~1e-10 relative precision
     # for separated clusters), one dimension at a time in np.sum's order, in
     # strips of rows on and above the diagonal, mirrored: (a-b)^2 == (b-a)^2.
+    # Squares and roots are taken in place; they are the same bits.
     coords = points.T.copy()
     dist = np.empty((n, n))
     for start in range(0, n, _STRIP):
         rows, cols = coords[:, start : start + _STRIP, None], coords[:, None, start:]
-        upper = np.sqrt(_pairwise_sum(lambda k: np.square(rows[k] - cols[k]), 0, len(coords)))
+
+        def square(k: int) -> np.ndarray:
+            d = rows[k] - cols[k]
+            return np.square(d, out=d)
+
+        upper = _pairwise_sum(square, 0, len(coords))  # the float 0.0 when d = 0
+        upper = np.sqrt(upper, out=np.asarray(upper))
         dist[start : start + _STRIP, start:] = upper
         dist[start:, start : start + _STRIP] = upper.T
 

@@ -221,23 +221,24 @@ def train_autoencoder_arms(
     snapshots: list[dict[int, TrainedAutoencoder]] = [{} for _ in arms]
 
     for epoch, batches in enumerate(_epochs(train, cfg, table, max(budgets)), 1):
-        for _, xb, wb in batches:
-            trace = forward(net, xb)
-            out = trace.output
-            d_out = np.empty_like(out)
-            for i, arm in enumerate(arms):
-                if arm.loss.kind == "ce":
-                    value, d_out[i] = cross_entropy_loss(out[i], xb, groups)
-                else:  # the adapter's scores, then their gradient, in arm i's slice
-                    pred = np.subtract(out[i], OUT_LOW, out=d_out[i])
-                    pred /= _SPAN
-                    w = wb if arm.loss.needs_weights else None
-                    value, _ = _weighted_mse(pred, xb, w, arm.loss.alpha, out=pred)
-                    pred /= _SPAN
-                if not np.isfinite(value):
-                    raise NonFinite(f"{arm.loss.label} loss became non-finite at epoch {epoch}")
-            adam_step(opt, net.params, backward(net, trace, d_out, need_input=False).flat,
-                      cfg.learning_rate)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NonFinite
+            for _, xb, wb in batches:
+                trace = forward(net, xb)
+                out = trace.output
+                d_out = np.empty_like(out)
+                for i, arm in enumerate(arms):
+                    if arm.loss.kind == "ce":
+                        value, d_out[i] = cross_entropy_loss(out[i], xb, groups)
+                    else:  # the adapter's scores, then their gradient, in arm i's slice
+                        pred = np.subtract(out[i], OUT_LOW, out=d_out[i])
+                        pred /= _SPAN
+                        w = wb if arm.loss.needs_weights else None
+                        value, _ = _weighted_mse(pred, xb, w, arm.loss.alpha, out=pred)
+                        pred /= _SPAN
+                    if not np.isfinite(value):
+                        raise NonFinite(f"{arm.loss.label} loss became non-finite at epoch {epoch}")
+                adam_step(opt, net.params, backward(net, trace, d_out, need_input=False).flat,
+                          cfg.learning_rate)
         if epoch in logged:
             for i, arm in enumerate(arms):
                 phi_i, psi_i = halves(i)
@@ -296,6 +297,8 @@ class VAEConfig(AutoencoderConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.dim_hidden < 1:
+            raise ConfigError(f"dim_hidden must be >= 1, got {self.dim_hidden}")
         if self.loss.kind == "ce":
             raise ConfigError("the VAE supports standard/balanced/blended losses only")
 
@@ -438,43 +441,44 @@ def train_vae_arms(
 
     for epoch, batches in enumerate(_epochs(train, cfg, table, cfg.epochs), 1):
         last_values = [np.nan] * len(arms)
-        for idx, xb, wb in batches:
-            yb = ys[idx]
-            t1 = forward(nets.hl1, xb)
-            t_mu = forward(nets.hl21, t1.output)
-            t_lv = forward(nets.hl22, t1.output)
-            mu, logvar = t_mu.output, t_lv.output
-            eps = gaussian(noise_rng, mu.shape[1:])
-            z = reparameterize(mu, logvar, np.broadcast_to(eps, mu.shape))
-            t3 = forward(nets.hl3, z)
-            t_x = forward(nets.hl41, t3.output)
-            t_y = forward(nets.hl42, t3.output)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NonFinite
+            for idx, xb, wb in batches:
+                yb = ys[idx]
+                t1 = forward(nets.hl1, xb)
+                t_mu = forward(nets.hl21, t1.output)
+                t_lv = forward(nets.hl22, t1.output)
+                mu, logvar = t_mu.output, t_lv.output
+                eps = gaussian(noise_rng, mu.shape[1:])
+                z = reparameterize(mu, logvar, np.broadcast_to(eps, mu.shape))
+                t3 = forward(nets.hl3, z)
+                t_x = forward(nets.hl41, t3.output)
+                t_y = forward(nets.hl42, t3.output)
 
-            # The heads are linear, so backward never reads their outputs:
-            # each arm's loss writes its head gradients over its own slice.
-            gx, gy = t_x.output, t_y.output
-            g_mu_kl, g_lv_kl = np.empty_like(mu), np.empty_like(logvar)
-            for i, arm in enumerate(arms):
-                last_values[i], (_, _, g_mu_kl[i], g_lv_kl[i]) = vae_loss(
-                    gx[i], xb, gy[i], yb, mu[i], logvar[i], wb, arm.loss, out=(gx[i], gy[i])
-                )
-                if not np.isfinite(last_values[i]):
-                    raise NonFinite(f"{arm.loss.label} VAE loss non-finite at epoch {epoch}")
+                # The heads are linear, so backward never reads their outputs:
+                # each arm's loss writes its head gradients over its own slice.
+                gx, gy = t_x.output, t_y.output
+                g_mu_kl, g_lv_kl = np.empty_like(mu), np.empty_like(logvar)
+                for i, arm in enumerate(arms):
+                    last_values[i], (_, _, g_mu_kl[i], g_lv_kl[i]) = vae_loss(
+                        gx[i], xb, gy[i], yb, mu[i], logvar[i], wb, arm.loss, out=(gx[i], gy[i])
+                    )
+                    if not np.isfinite(last_values[i]):
+                        raise NonFinite(f"{arm.loss.label} VAE loss non-finite at epoch {epoch}")
 
-            # made after the losses: the AE trained slower with its gradient made before forward
-            grad = np.empty_like(params)
-            d1, d21, d22, d3, d41, d42 = (grad[..., span] for span in spans)
-            g41 = backward(nets.hl41, t_x, gx, out=d41)
-            g42 = backward(nets.hl42, t_y, gy, out=d42)
-            del t_x, gx  # frees the (M, B, p) head buffer before the next step
-            g3 = backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input, out=d3)
-            dz = g3.wrt_input
-            d_mu = dz + g_mu_kl
-            d_lv = dz * eps * 0.5 * np.exp(0.5 * logvar) + g_lv_kl
-            g21 = backward(nets.hl21, t_mu, d_mu, out=d21)
-            g22 = backward(nets.hl22, t_lv, d_lv, out=d22)
-            backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input, need_input=False, out=d1)
-            adam_step(opt, params, grad, cfg.learning_rate)
+                # made after the losses: the AE trained slower with its gradient made before forward
+                grad = np.empty_like(params)
+                d1, d21, d22, d3, d41, d42 = (grad[..., span] for span in spans)
+                g41 = backward(nets.hl41, t_x, gx, out=d41)
+                g42 = backward(nets.hl42, t_y, gy, out=d42)
+                del t_x, gx  # frees the (M, B, p) head buffer before the next step
+                g3 = backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input, out=d3)
+                dz = g3.wrt_input
+                d_mu = dz + g_mu_kl
+                d_lv = dz * eps * 0.5 * np.exp(0.5 * logvar) + g_lv_kl
+                g21 = backward(nets.hl21, t_mu, d_mu, out=d21)
+                g22 = backward(nets.hl22, t_lv, d_lv, out=d22)
+                backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input, need_input=False, out=d1)
+                adam_step(opt, params, grad, cfg.learning_rate)
         if epoch in checkpoints:
             for h, value in zip(history, last_values):
                 h.extend([(epoch, value)] * checkpoints.count(epoch))

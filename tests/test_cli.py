@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,12 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.schema").read_bytes() == (tmp_path / "b.schema").read_bytes()
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_bad_row_count_exits_2(self, tmp_path, capsys, n):
+        assert run_cli("generate", "--n", n, "--out", str(tmp_path / "data.csv")) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_input_not_mutated(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[experiment]\nruns = 1\n")
@@ -291,6 +298,14 @@ class TestExperiment:
             "[autoencoder]\ndim_z = 0\n",
             "[experiment]\nmodel = vae\n[vae]\nlearning_rate = nan\n",
             "[experiment]\nmodel = vae\n[vae]\ndim_z = 0\n",
+            "[data]\ncontext = nope\n",
+            "[data]\nn = -5\n",
+            "[data]\ncoeffs = 1,1\n",
+            "[experiment]\nmodel = vae\n[vae]\ndim_hidden = 0\n",
+            "[experiment]\ntest_fraction = 0\n",
+            "[experiment]\ntest_fraction = nan\n",
+            "[experiment]\ntask = unsupervised\nclusters = 0\n",
+            "[experiment]\nlosses =\n",
         ],
     )
     def test_impossible_values_exit_2(self, tmp_path, capsys, text):
@@ -363,6 +378,18 @@ class TestExperiment:
         assert err.startswith("numerical failure: ")
         assert "standard VAE loss non-finite at epoch 1" in err
         assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_diverging_vae_exits_4_without_numpy_warnings(self, tmp_path, capsys):
+        cfg = tmp_path / "vae.ini"
+        cfg.write_text(
+            "[data]\nn = 600\n[experiment]\nmodel = vae\nruns = 1\nlosses = standard\n"
+            f"[vae]\nepochs = 3\nlearning_rate = 100\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("experiment", "--config", str(cfg)) == 4
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     @pytest.mark.parametrize("where", ["kindless-line", "directory", "non-utf8"])
     def test_unreadable_schema_sidecar_exits_3(self, tmp_path, capsys, where):

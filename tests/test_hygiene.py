@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,3 +145,16 @@ def test_benchmark_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"mixedae.{layer}"), fn, None))
     ]
     assert traced and missing == []
+
+
+def test_imports_load_no_process_pool():
+    """Only a run that forks loads multiprocessing: importing the package,
+    its CLI and its experiment driver does not."""
+    code = (
+        "import sys, mixedae, mixedae.cli, mixedae.experiments\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"

@@ -268,6 +268,20 @@ class TestSilhouette:
             tracemalloc.stop()
         assert peak < 2 * n * n * 8
 
+    def test_strip_buffers_stay_small(self):
+        # beyond the distance matrix, each 32 x n strip's running sums are
+        # built one at a time: at most a few strips are held at once
+        n, d = 1200, 33
+        rng = np.random.default_rng(0)
+        points, labels = rng.normal(size=(n, d)), rng.integers(0, 4, n)
+        tracemalloc.start()
+        try:
+            metrics.silhouette(points, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n * n * 8 < 2.5e6
+
 
 class TestPairwiseSum:
     @pytest.mark.parametrize("width", [*range(1, 301), 513])
