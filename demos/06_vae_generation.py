@@ -24,7 +24,7 @@ print("\ncategory frequencies, training vs generated:")
 for name in ("Q1", "Q3"):
     col = data.schema.column(name)
     got = np.bincount(generated.column(name), minlength=len(col.categories)) / generated.n
-    want = enc.frequencies(name)
+    want = enc.category_counts[name] / enc.n
     for cat, w, g in zip(col.categories, want, got):
         print(f"  {cat:<8} train={w:.3f}  generated={g:.3f}")
 

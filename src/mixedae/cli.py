@@ -188,7 +188,6 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     _override(cfg, "train", seed=args.seed, epochs=args.epochs, loss=args.loss)
-    out_dir = Path(args.out or cfg["output"]["dir"])
     kind = _model(cfg)
 
     fields = {key: _parse(cfg, "train", key, 0) for key in ("epochs", "seed")}
@@ -198,16 +197,16 @@ def cmd_train(args) -> int:
     enc = tabular.fit_encoder(data)
     matrix = tabular.encode(data, enc)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "vae":
         if data.y is None:
             raise DataError("training a VAE needs a target column")
         model = models.train_vae(matrix, data.y, model_cfg)
     else:
         model = models.train_autoencoder(matrix, model_cfg)
-        curves_path = out_dir / "curves.csv"
-        curves_path.unlink(missing_ok=True)
-        models.curves_to_csv(model.curves, curves_path)
+    out_dir = Path(args.out or cfg["output"]["dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if kind == "autoencoder":
+        models.curves_to_csv([model.curves], out_dir / "curves.csv")
     models.save_model(model, out_dir / "model.ckpt")
     name, written = ("VAE", "checkpoint") if kind == "vae" else ("autoencoder", "checkpoint and curves")
     print(f"trained {name} ({model.config.loss.label}); {written} in {out_dir}")
@@ -223,16 +222,18 @@ def cmd_experiment(args) -> int:
         raise ConfigError("[experiment] epochs and --epochs are AE budgets; the VAE trains for [vae] epochs")
     exp_cfg = _experiment_from_config(cfg)
     jobs = args.jobs if args.jobs is not None else _parse(cfg, "output", "jobs", 0)
+    if jobs < 1:
+        raise ConfigError(f"[output] jobs and --jobs must be >= 1, got {jobs}")
     if args.dry_run:
         budgets = [exp_cfg.vae.epochs] if vae else list(exp_cfg.epochs)
         print(f"config ok: {exp_cfg.runs} runs x epochs {budgets} x "
               f"losses {list(exp_cfg.losses)} on {exp_cfg.source.label} ({exp_cfg.task})")
         return 0
 
-    out_dir = Path(args.out or cfg["output"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     run = experiments.vae_experiment if vae else experiments.run_experiment
     report = run(exp_cfg, jobs=jobs)
+    out_dir = Path(args.out or cfg["output"]["dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     for f in (out_dir / "curves").glob("run_*.csv"):
         f.unlink()
     if report.curves:  # the VAE records none

@@ -292,12 +292,11 @@ class ExperimentReport:
     def write_curves(self, directory: str | Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        files: dict[tuple[int, str], list[LearningCurves]] = {}
         for (run, epochs, loss) in sorted(self.curves):
-            models.curves_to_csv(
-                self.curves[(run, epochs, loss)],
-                directory / f"run_{run}_{loss.replace(':', '_')}.csv",
-                epochs_label=epochs,
-            )
+            files.setdefault((run, loss), []).append(self.curves[(run, epochs, loss)])
+        for (run, loss), budgets in files.items():
+            models.curves_to_csv(budgets, directory / f"run_{run}_{loss.replace(':', '_')}.csv")
 
 
 def load_report_csv(path: str | Path) -> ExperimentReport:

@@ -518,21 +518,12 @@ def vae_generate(model: TrainedVAE, count: int, seed: int) -> Dataset:
     x_scores = forward(model.nets.hl41, h3).output
     y_scaled = forward(model.nets.hl42, h3).output[:, 0]
     enc = model.state
-    cols: dict[str, np.ndarray] = {}
-    j = 0
-    for c in enc.schema.columns:
-        if c.is_categorical:
-            p_q = len(c.categories)
-            s = np.clip(x_scores[:, j : j + p_q], 1e-9, None)
-            s /= s.sum(axis=1, keepdims=True)
-            u = rng.random(count)
-            draw = (np.cumsum(s, axis=1) < u[:, None]).sum(axis=1)
-            cols[c.name] = np.minimum(draw, p_q - 1)
-            j += p_q
-        else:
-            lo, hi = enc.numeric_range[c.name]
-            cols[c.name] = lo + x_scores[:, j] * (hi - lo)
-            j += 1
+    cols = dict(decode(EncodedMatrix(x_scores, enc), enc).columns)
+    for name, g in zip(enc.schema.categorical_names(), enc.categorical_groups()):
+        s = np.clip(x_scores[:, g], 1e-9, None)
+        s /= s.sum(axis=1, keepdims=True)
+        u = rng.random(count)
+        cols[name] = np.minimum((np.cumsum(s, axis=1) < u[:, None]).sum(axis=1), len(g) - 1)
     y_lo, y_hi = model.y_range
     return Dataset(enc.schema, cols, y=y_lo + y_scaled * (y_hi - y_lo))
 
@@ -573,21 +564,19 @@ def load_model(path: str | Path) -> TrainedAutoencoder | TrainedVAE:
             return TrainedAutoencoder(nets[0], nets[1], state, weights, cfg, curves=None)
         y_lo, y_hi = header["y_range"]
         return TrainedVAE(VAENets(*nets), state, weights, cfg, (float(y_lo), float(y_hi)), np.empty((0, 2)))
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, DataError) as e:
         raise DataError(f"{path}: malformed checkpoint header: {e!r}") from None
 
 
-def curves_to_csv(curves: LearningCurves, path: str | Path, epochs_label: int | None = None) -> None:
-    """Write (epochs, checkpoint, feature, error) rows; appends if the file exists."""
+def curves_to_csv(budgets: list[LearningCurves], path: str | Path) -> None:
+    """Write a header and one (epochs, checkpoint, feature, error) block per
+    budget's curves; a block's epochs is its last checkpoint, the budget."""
     import csv
 
-    path = Path(path)
-    new = not path.exists()
-    total = epochs_label if epochs_label is not None else int(curves.checkpoints[-1])
-    with open(path, "a", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if new:
-            writer.writerow(["epochs", "checkpoint", "feature", "error"])
-        for row, ck in zip(curves.errors, curves.checkpoints):
-            for name, err in zip(curves.feature_names, row):
-                writer.writerow([total, int(ck), name, repr(float(err))])
+        writer.writerow(["epochs", "checkpoint", "feature", "error"])
+        for curves in budgets:
+            for row, ck in zip(curves.errors, curves.checkpoints):
+                for name, err in zip(curves.feature_names, row):
+                    writer.writerow([int(curves.checkpoints[-1]), int(ck), name, repr(float(err))])

@@ -64,6 +64,8 @@ class Schema:
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
+        if not names:
+            raise DataError("schema has no columns")
         if len(set(names)) != len(names):
             raise DataError("duplicate column names in schema")
 
@@ -82,15 +84,8 @@ class Schema:
                 return c
         raise KeyError(name)
 
-    def numeric_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns if not c.is_categorical)
-
     def categorical_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if c.is_categorical)
-
-    @property
-    def encoded_width(self) -> int:
-        return sum(len(c.categories) if c.is_categorical else 1 for c in self.columns)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -132,7 +127,7 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return len(next(iter(self.columns.values()))) if self.columns else 0
+        return len(next(iter(self.columns.values())))
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -145,26 +140,6 @@ class Dataset:
             y=None if self.y is None else self.y[indices],
             target_name=self.target_name,
         )
-
-    def equals(self, other: "Dataset", numeric_tol: float = 0.0) -> bool:
-        """Exact equality; ``numeric_tol`` allows float round-off on numerics
-        (categorical codes always compare exactly)."""
-        if self.schema != other.schema or self.target_name != other.target_name:
-            return False
-
-        def close(a: np.ndarray, b: np.ndarray) -> bool:
-            if numeric_tol == 0.0:
-                return bool(np.array_equal(a, b))
-            return bool(np.allclose(a, b, rtol=numeric_tol, atol=numeric_tol))
-
-        for c in self.schema.columns:
-            a, b = self.columns[c.name], other.columns[c.name]
-            ok = np.array_equal(a, b) if c.is_categorical else close(a, b)
-            if not ok:
-                return False
-        if (self.y is None) != (other.y is None):
-            return False
-        return self.y is None or close(self.y, other.y)
 
 
 # ----------------------------------------------------------------------
@@ -188,11 +163,10 @@ class EncoderState:
     n: int
     numeric_range: dict[str, tuple[float, float]]
     category_counts: dict[str, np.ndarray]
-    features: tuple[FeatureRef, ...] = field(default=())
+    features: tuple[FeatureRef, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.features:
-            object.__setattr__(self, "features", _feature_refs(self.schema))
+        object.__setattr__(self, "features", _feature_refs(self.schema))
         counts = {k: _freeze(np.asarray(v, dtype=np.int64)) for k, v in self.category_counts.items()}
         object.__setattr__(self, "category_counts", counts)
 
@@ -200,10 +174,6 @@ class EncoderState:
     def width(self) -> int:
         """Encoded width P."""
         return len(self.features)
-
-    def frequencies(self, column: str) -> np.ndarray:
-        """f_kq = n_kq / n for one categorical variable."""
-        return self.category_counts[column] / self.n
 
     def feature_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
@@ -346,15 +316,15 @@ def read_csv(
     path: str | Path,
     schema: Schema | None = None,
     *,
-    categorical: tuple[str, ...] = (),
     target: str | None = None,
 ) -> Dataset:
     """Read a comma-separated file with one header row.
 
     With ``schema=None`` the kinds are inferred: a column is categorical
-    iff any cell fails to parse as a number or its name is listed in
-    ``categorical``; category order is first-appearance order. ``target``
-    names a numeric column returned as ``Dataset.y`` instead of a feature.
+    iff any cell fails to parse as a number; category order is
+    first-appearance order. ``target`` names a numeric column returned as
+    ``Dataset.y`` instead of a feature. A file with no column besides the
+    target raises :class:`DataError`.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -382,7 +352,7 @@ def read_csv(
         header = [h for h in header if h != target]
 
     if schema is None:
-        schema = _infer_schema(header, raw, categorical)
+        schema = _infer_schema(header, raw)
     else:
         if list(schema.names) != header:
             raise SchemaMismatch(
@@ -416,16 +386,12 @@ def _coerce_number(cell: str, name: str, row: int) -> float:
     return v
 
 
-def _infer_schema(header: list[str], raw: dict[str, list[str]], categorical: tuple[str, ...]) -> Schema:
+def _infer_schema(header: list[str], raw: dict[str, list[str]]) -> Schema:
     cols = []
     for name in header:
-        cells = raw[name]
-        is_cat = name in categorical or any(_parse_float(c) is None for c in cells)
-        if is_cat:
-            cats = tuple(dict.fromkeys(cells))  # first-appearance order
-            cols.append(Column(name, cats))
-        else:
-            cols.append(Column(name))
+        numeric = all(_parse_float(c) is not None for c in raw[name])
+        # categories in first-appearance order
+        cols.append(Column(name, None if numeric else tuple(dict.fromkeys(raw[name]))))
     return Schema(tuple(cols))
 
 
@@ -622,25 +588,12 @@ def schema_hash(schema: Schema) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:16]
 
 
-def schema_to_dict(schema: Schema) -> list[dict]:
-    return [
-        {"name": c.name, "categories": list(c.categories) if c.categories else None}
-        for c in schema.columns
-    ]
-
-
-def schema_from_dict(items: list[dict]) -> Schema:
-    return Schema(
-        tuple(
-            Column(d["name"], tuple(d["categories"]) if d["categories"] else None)
-            for d in items
-        )
-    )
-
-
 def encoder_to_dict(enc: EncoderState) -> dict:
     return {
-        "schema": schema_to_dict(enc.schema),
+        "schema": [
+            {"name": c.name, "categories": list(c.categories) if c.categories else None}
+            for c in enc.schema.columns
+        ],
         "n": enc.n,
         "numeric_range": {k: list(v) for k, v in enc.numeric_range.items()},
         "category_counts": {k: v.tolist() for k, v in enc.category_counts.items()},
@@ -649,7 +602,9 @@ def encoder_to_dict(enc: EncoderState) -> dict:
 
 def encoder_from_dict(d: dict) -> EncoderState:
     return EncoderState(
-        schema=schema_from_dict(d["schema"]),
+        schema=Schema(tuple(
+            Column(c["name"], tuple(c["categories"]) if c["categories"] else None) for c in d["schema"]
+        )),
         n=int(d["n"]),
         numeric_range={k: (float(a), float(b)) for k, (a, b) in d["numeric_range"].items()},
         category_counts={k: np.asarray(v, dtype=np.int64) for k, v in d["category_counts"].items()},

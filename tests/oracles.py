@@ -460,3 +460,17 @@ def masked_logistic_fit(X, y, steps, lr=1.0, lam=1e-4):
         coef -= lr * (X.T @ err / n + lam * coef)
         intercept -= lr * float(err.mean())
     return coef, intercept
+
+
+def same_dataset(a, b, numeric_tol=0.0):
+    """Equal schemas, target names and categorical codes; numerics and
+    targets equal, or within ``numeric_tol`` (relative and absolute)."""
+    def close(u, v):
+        return np.allclose(u, v, rtol=numeric_tol, atol=numeric_tol) if numeric_tol else np.array_equal(u, v)
+
+    if a.schema != b.schema or a.target_name != b.target_name or (a.y is None) != (b.y is None):
+        return False
+    return all(
+        (np.array_equal if c.is_categorical else close)(a.column(c.name), b.column(c.name))
+        for c in a.schema.columns
+    ) and (a.y is None or close(a.y, b.y))

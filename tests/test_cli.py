@@ -306,6 +306,7 @@ class TestExperiment:
             "[experiment]\ntest_fraction = nan\n",
             "[experiment]\ntask = unsupervised\nclusters = 0\n",
             "[experiment]\nlosses =\n",
+            "[output]\njobs = -3\n",
         ],
     )
     def test_impossible_values_exit_2(self, tmp_path, capsys, text):
@@ -322,6 +323,8 @@ class TestExperiment:
             ["train", "--config", "bad.ini", "--epochs", "1"],
             ["experiment", "--seed", "-1", "--dry-run"],
             ["experiment", "--seed", "-1", "--epochs", "1"],
+            ["experiment", "--jobs", "0", "--dry-run"],
+            ["experiment", "--jobs", "-7", "--epochs", "1"],
         ],
     )
     def test_negative_seeds_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, argv):
@@ -377,7 +380,7 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert "standard VAE loss non-finite at epoch 1" in err
-        assert not (tmp_path / "out" / "report.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_vae_exits_4_without_numpy_warnings(self, tmp_path, capsys):
         cfg = tmp_path / "vae.ini"
@@ -409,6 +412,18 @@ class TestExperiment:
         )
         assert run_cli("experiment", "--config", str(cfg)) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_target_only_csv_exits_3_and_writes_nothing(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        data.write_text("y\n" + "".join(f"{i}.0\n" for i in range(10)))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {data}\ntarget = y\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli(command, "--config", str(cfg)) == 3
+        assert "schema has no columns" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_loss_flag(self, tiny_experiment_config):
         assert (

@@ -342,3 +342,9 @@ class TestReportIO:
         lines = (tmp_path / "curves" / "run_0_standard.csv").read_text().splitlines()
         assert lines[0] == "epochs,checkpoint,feature,error"
         assert len(lines) == 1 + 10 * 33
+
+    def test_curve_files_are_written_whole(self, tiny_report, tmp_path):
+        tiny_report.write_curves(tmp_path / "curves")
+        first = {p.name: p.read_bytes() for p in (tmp_path / "curves").iterdir()}
+        tiny_report.write_curves(tmp_path / "curves")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "curves").iterdir()} == first

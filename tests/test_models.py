@@ -25,7 +25,7 @@ from mixedae.models import (
     vae_reconstruct,
 )
 from mixedae.rng import make_rng
-from oracles import chained_autoencoder_budgets, separate_vae
+from oracles import chained_autoencoder_budgets, same_dataset, separate_vae
 from mixedae.tabular import (
     Dataset,
     EncodedMatrix,
@@ -364,7 +364,7 @@ class TestSaveLoad:
         assert back.config == autoencoder.config
         assert back.state.numeric_range == enc.numeric_range
         assert np.array_equal(back.weights.w_one, autoencoder.weights.w_one)
-        assert reconstruct(back, test).equals(reconstruct(autoencoder, test))
+        assert same_dataset(reconstruct(back, test), reconstruct(autoencoder, test))
         assert np.array_equal(latent(back, test), latent(autoencoder, test))
 
     def test_vae_round_trip(self, vae, synthetic_split, tmp_path):
@@ -376,8 +376,8 @@ class TestSaveLoad:
         assert all(nets_equal(a, b) for a, b in zip(vae.nets.all(), back.nets.all()))
         assert back.config == vae.config
         assert back.y_range == vae.y_range
-        assert vae_reconstruct(back, test).equals(vae_reconstruct(vae, test))
-        assert vae_generate(back, 300, seed=4).equals(vae_generate(vae, 300, seed=4))
+        assert same_dataset(vae_reconstruct(back, test), vae_reconstruct(vae, test))
+        assert same_dataset(vae_generate(back, 300, seed=4), vae_generate(vae, 300, seed=4))
 
     def test_checkpoint_of_the_former_writer_loads(self, autoencoder, synthetic_split, tmp_path):
         _, test, _ = synthetic_split
@@ -385,7 +385,7 @@ class TestSaveLoad:
         save_autoencoder_before_save_model(autoencoder, old)
         save_model(autoencoder, new)
         assert new.read_bytes() == old.read_bytes()
-        assert reconstruct(load_model(old), test).equals(reconstruct(autoencoder, test))
+        assert same_dataset(reconstruct(load_model(old), test), reconstruct(autoencoder, test))
 
     @pytest.mark.parametrize(
         "change",
@@ -572,7 +572,7 @@ class TestTrainVae:
                 assert codes.min() >= 0 and codes.max() < len(c.categories)
 
     def test_generate_deterministic(self, trained):
-        assert vae_generate(trained, 50, seed=5).equals(vae_generate(trained, 50, seed=5))
+        assert same_dataset(vae_generate(trained, 50, seed=5), vae_generate(trained, 50, seed=5))
 
     def test_ce_rejected(self):
         with pytest.raises(errors.ConfigError):
@@ -588,7 +588,7 @@ def test_generated_majority_frequencies_track_training():
     model = train_vae(encode(train, enc), train.y, VAEConfig(epochs=1000, seed=14))
     gen = vae_generate(model, 4000, seed=15)
     for name in data.schema.categorical_names():
-        freqs = enc.frequencies(name)
+        freqs = enc.category_counts[name] / enc.n
         got = np.bincount(gen.column(name), minlength=freqs.size) / 4000
         for f_train, f_gen in zip(freqs, got):
             if f_train > 0.3:
