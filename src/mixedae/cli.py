@@ -191,6 +191,9 @@ def cmd_train(args) -> int:
     kind = _model(cfg)
 
     fields = {key: _parse(cfg, "train", key, 0) for key in ("epochs", "seed")}
+    # a dumped config carries the default, so only a set value or the flag overrides [vae] epochs
+    if kind == "vae" and args.epochs is None and cfg["train"]["epochs"] == DEFAULTS["train"]["epochs"]:
+        del fields["epochs"]
     # the config checks its values before the data loads
     model_cfg = _dataclass(cfg, kind, MODEL_CONFIGS[kind], loss=cfg["train"]["loss"], **fields)
     data = experiments.load_source(_source_from_config(cfg), model_cfg.seed)
@@ -266,8 +269,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_config(args) -> int:
-    if args.action != "dump":
-        raise ConfigError(f"unknown config action {args.action!r}")
     print(dump_config(load_config(args.config)), end="")
     return 0
 

@@ -35,6 +35,7 @@ RIDGE_LAMBDA = 1e-4
 LOGISTIC_STEPS = 2000
 LOGISTIC_LR = 1.0
 LOGISTIC_LAMBDA = 1e-4
+KMEANS_MAX_ITER = 100
 
 BASELINE = "baseline"
 
@@ -86,13 +87,7 @@ class LogisticModel:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
-def logistic_fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    steps: int = LOGISTIC_STEPS,
-    lr: float = LOGISTIC_LR,
-    lam: float = LOGISTIC_LAMBDA,
-) -> LogisticModel:
+def logistic_fit(X: np.ndarray, y: np.ndarray, steps: int = LOGISTIC_STEPS) -> LogisticModel:
     """Full-batch gradient descent on L2-regularized log-loss.
 
     The intercept is unregularized. Works with zero feature columns, in
@@ -106,8 +101,8 @@ def logistic_fit(
     for _ in range(steps):
         p = _sigmoid(X @ coef + intercept)
         err = p - y
-        coef -= lr * (X.T @ err / n + lam * coef)
-        intercept -= lr * float(err.mean())
+        coef -= LOGISTIC_LR * (X.T @ err / n + LOGISTIC_LAMBDA * coef)
+        intercept -= LOGISTIC_LR * float(err.mean())
     return LogisticModel(coef, intercept)
 
 
@@ -132,7 +127,7 @@ def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
     """Lloyd iterations from a k-means++ start; empty clusters reseed to
     the farthest point. Inertia is non-increasing across iterations."""
     points = np.asarray(points, dtype=np.float64)
@@ -155,7 +150,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> KMeans
 
     labels = np.zeros(n, dtype=np.int64)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _pairwise_sq(points, centers)
         new_labels = d2.argmin(axis=1)
         for j in range(k):
@@ -444,6 +439,8 @@ def _run_once(kind: str, data: Dataset, cfg: ExperimentConfig, run: int) -> tupl
     split_seed = derive_seed(cfg.seed, run, 0)
     try:
         train, test = split(data, cfg.test_fraction, split_seed)
+        if cfg.task == "unsupervised" and kind == "autoencoder" and cfg.clusters > train.n:
+            raise ConfigError(f"clusters = {cfg.clusters} exceeds the {train.n} rows of the train split")
         enc = fit_encoder(train)
         X_train = encode(train, enc)
         X_test = encode(test, enc)

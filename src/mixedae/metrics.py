@@ -248,18 +248,12 @@ def eta_squared(x: np.ndarray, g: np.ndarray) -> float:
 # Mixed correlation
 # ----------------------------------------------------------------------
 
-SPEARMAN = "spearman"
-CRAMERS_V = "cramers_v"
-ETA_SQUARED = "eta_squared"
-
-
 @dataclass(frozen=True)
 class MixedCorrelationMatrix:
     """p x p symmetric matrix with the entry statistic chosen per pair type."""
 
     schema_names: tuple[str, ...]
     values: np.ndarray
-    kinds: np.ndarray  # object array of statistic names
 
     @property
     def p(self) -> int:
@@ -274,23 +268,19 @@ def mixed_correlation(data: Dataset) -> MixedCorrelationMatrix:
     cols = data.schema.columns
     p = len(cols)
     values = np.eye(p)
-    kinds = np.empty((p, p), dtype=object)
     # indexed by the number of categorical columns in the pair
-    stats = ((SPEARMAN, spearman), (ETA_SQUARED, eta_squared), (CRAMERS_V, cramers_v))
+    stats = (spearman, eta_squared, cramers_v)
     xs = [data.column(c.name) for c in cols]
     varies = [_levels(x)[1].size > 1 for x in xs]
     for i in range(p):
-        kinds[i, i] = CRAMERS_V if cols[i].is_categorical else SPEARMAN
-    for i in range(p):
         for j in range(i + 1, p):
             ci, cj = cols[i], cols[j]
-            kind, stat = stats[ci.is_categorical + cj.is_categorical]
+            stat = stats[ci.is_categorical + cj.is_categorical]
             xi, xj = xs[i], xs[j]
             if ci.is_categorical and not cj.is_categorical:
                 xi, xj = xj, xi  # eta squared takes (numeric, categorical)
             values[i, j] = values[j, i] = stat(xi, xj) if varies[i] and varies[j] else 0.0
-            kinds[i, j] = kinds[j, i] = kind
-    return MixedCorrelationMatrix(data.schema.names, values, kinds)
+    return MixedCorrelationMatrix(data.schema.names, values)
 
 
 def mc_distance(d1: Dataset, d2: Dataset) -> float:

@@ -106,7 +106,6 @@ class TrainedAutoencoder:
     encoder_net: Network   # phi
     decoder_net: Network   # psi
     state: EncoderState
-    weights: LossWeights | None
     config: AutoencoderConfig
     curves: LearningCurves | None
 
@@ -130,19 +129,18 @@ def build_autoencoder(p: int, dim_z: int, seed: int) -> tuple[Network, Network]:
     return phi, psi
 
 
-def _arms(cfg, losses, train: EncodedMatrix, weights: LossWeights | None) -> tuple:
-    """Per loss: ``cfg`` with that loss, and the loss weights (``weights`` or
-    the encoder's balance weights, computed once) if the loss needs them;
-    and the training matrix's weight table, selected once per fit, or None."""
+def _arms(cfg, losses, train: EncodedMatrix, weights: LossWeights | None = None) -> tuple:
+    """Per loss, ``cfg`` with that loss; and, if some loss needs weights, the
+    training matrix's table of ``weights`` (by default the encoder's balance
+    weights), selected once per fit, or None."""
     if not losses:
         raise ConfigError("need at least one loss")
     arms = [dataclasses.replace(cfg, loss=loss) for loss in losses]
     if not any(a.loss.needs_weights for a in arms):
-        return arms, [None] * len(arms), None
+        return arms, None
     if weights is None:
         weights = compute_balance_weights(train.encoder)
-    table = weights.select(train.values)
-    return arms, [weights if a.loss.needs_weights else None for a in arms], table
+    return arms, weights.select(train.values)
 
 
 def _epochs(train: EncodedMatrix, cfg, table: np.ndarray | None, epochs: int):
@@ -204,7 +202,7 @@ def train_autoencoder_arms(
         raise ConfigError(f"epochs budgets must be >= 1, got {budgets}")
     X = train.values
     enc = train.encoder
-    arms, weights, table = _arms(cfg, losses, train, weights)
+    arms, table = _arms(cfg, losses, train, weights)
     groups = enc.categorical_groups()
 
     phi, psi = build_autoencoder(train.width, cfg.dim_z, derive_seed(cfg.seed, 0))
@@ -254,7 +252,7 @@ def train_autoencoder_arms(
                     errors=np.vstack([errors[i][e] for e in checkpoints[epoch]]),
                 )
                 snapshots[i][epoch] = TrainedAutoencoder(
-                    *halves(i), enc, weights[i], dataclasses.replace(arm, epochs=epoch), curves
+                    *halves(i), enc, dataclasses.replace(arm, epochs=epoch), curves
                 )
     return snapshots
 
@@ -322,10 +320,8 @@ class VAENets:
 class TrainedVAE:
     nets: VAENets
     state: EncoderState
-    weights: LossWeights | None
     config: VAEConfig
     y_range: tuple[float, float]
-    loss_checkpoints: np.ndarray  # (epoch, loss) pairs, 10 rows (none once loaded)
 
 
 def build_vae(p: int, dim_hidden: int, dim_z: int, seed: int) -> VAENets:
@@ -394,22 +390,13 @@ def vae_loss(
     return vx * width + vy + kl, (gx, gy, g_mu, g_logvar)
 
 
-def train_vae(
-    train: EncodedMatrix,
-    y: np.ndarray,
-    cfg: VAEConfig,
-    weights: LossWeights | None = None,
-) -> TrainedVAE:
+def train_vae(train: EncodedMatrix, y: np.ndarray, cfg: VAEConfig) -> TrainedVAE:
     """:func:`train_vae_arms` with the one arm ``cfg.loss``."""
-    return train_vae_arms(train, y, cfg, (cfg.loss,), weights)[0]
+    return train_vae_arms(train, y, cfg, (cfg.loss,))[0]
 
 
 def train_vae_arms(
-    train: EncodedMatrix,
-    y: np.ndarray,
-    cfg: VAEConfig,
-    losses: tuple[LossSpec | str, ...],
-    weights: LossWeights | None = None,
+    train: EncodedMatrix, y: np.ndarray, cfg: VAEConfig, losses: tuple[LossSpec | str, ...]
 ) -> list[TrainedVAE]:
     """Mini-batch Adam over the VAE objective with seeded noise, one arm per loss.
 
@@ -429,18 +416,14 @@ def train_vae_arms(
         raise ConstantNumeric("target column is constant")
     ys = ((y - y_lo) / (y_hi - y_lo))[:, None]
 
-    arms, weights, table = _arms(cfg, losses, train, weights)
+    arms, table = _arms(cfg, losses, train)
     base = build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
     nets = VAENets(*(Network.stack([net] * len(arms)) for net in base.all()))
     params, spans = Network.share(nets.all())
     opt = nn.AdamState.like(params)
     noise_rng = make_rng(derive_seed(cfg.seed, 2))
 
-    checkpoints = checkpoint_epochs(cfg.epochs)
-    history: list[list[tuple[int, float]]] = [[] for _ in arms]
-
     for epoch, batches in enumerate(_epochs(train, cfg, table, cfg.epochs), 1):
-        last_values = [np.nan] * len(arms)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NonFinite
             for idx, xb, wb in batches:
                 yb = ys[idx]
@@ -459,10 +442,10 @@ def train_vae_arms(
                 gx, gy = t_x.output, t_y.output
                 g_mu_kl, g_lv_kl = np.empty_like(mu), np.empty_like(logvar)
                 for i, arm in enumerate(arms):
-                    last_values[i], (_, _, g_mu_kl[i], g_lv_kl[i]) = vae_loss(
+                    value, (_, _, g_mu_kl[i], g_lv_kl[i]) = vae_loss(
                         gx[i], xb, gy[i], yb, mu[i], logvar[i], wb, arm.loss, out=(gx[i], gy[i])
                     )
-                    if not np.isfinite(last_values[i]):
+                    if not np.isfinite(value):
                         raise NonFinite(f"{arm.loss.label} VAE loss non-finite at epoch {epoch}")
 
                 # made after the losses: the AE trained slower with its gradient made before forward
@@ -479,13 +462,9 @@ def train_vae_arms(
                 g22 = backward(nets.hl22, t_lv, d_lv, out=d22)
                 backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input, need_input=False, out=d1)
                 adam_step(opt, params, grad, cfg.learning_rate)
-        if epoch in checkpoints:
-            for h, value in zip(history, last_values):
-                h.extend([(epoch, value)] * checkpoints.count(epoch))
 
     return [
-        TrainedVAE(VAENets(*(net.arm(i) for net in nets.all())), train.encoder, weights[i], arm,
-                   (y_lo, y_hi), np.asarray(history[i]))
+        TrainedVAE(VAENets(*(net.arm(i) for net in nets.all())), train.encoder, arm, (y_lo, y_hi))
         for i, arm in enumerate(arms)
     ]
 
@@ -550,8 +529,8 @@ def save_model(model: TrainedAutoencoder | TrainedVAE, path: str | Path) -> None
 
 
 def load_model(path: str | Path) -> TrainedAutoencoder | TrainedVAE:
-    """Inverse of :func:`save_model`. The loaded model has no learning curves
-    or loss history; a malformed header raises :class:`DataError`."""
+    """Inverse of :func:`save_model`. The loaded autoencoder has no learning
+    curves; a malformed header raises :class:`DataError`."""
     nets, header = nn.read_networks(path)
     try:
         kind = header["kind"]
@@ -559,11 +538,10 @@ def load_model(path: str | Path) -> TrainedAutoencoder | TrainedVAE:
             raise ValueError(f"kind {kind!r} with {len(nets)} networks")
         state = tabular.encoder_from_dict(header["encoder_state"])
         cfg = (VAEConfig if kind == "vae" else AutoencoderConfig)(**header["config"])
-        weights = compute_balance_weights(state) if cfg.loss.needs_weights else None
         if kind == "autoencoder":
-            return TrainedAutoencoder(nets[0], nets[1], state, weights, cfg, curves=None)
+            return TrainedAutoencoder(nets[0], nets[1], state, cfg, curves=None)
         y_lo, y_hi = header["y_range"]
-        return TrainedVAE(VAENets(*nets), state, weights, cfg, (float(y_lo), float(y_hi)), np.empty((0, 2)))
+        return TrainedVAE(VAENets(*nets), state, cfg, (float(y_lo), float(y_hi)))
     except (KeyError, TypeError, ValueError, AttributeError, DataError) as e:
         raise DataError(f"{path}: malformed checkpoint header: {e!r}") from None
 

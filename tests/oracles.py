@@ -246,8 +246,8 @@ def chained_autoencoder_budgets(train, cfg, budgets, weights=None):
     return out
 
 
-def separate_vae(train, y, cfg, weights=None):
-    """Train one VAE on one loss; returns (nets, loss checkpoints)."""
+def separate_vae(train, y, cfg):
+    """Train one VAE on one loss; returns its nets."""
     from mixedae import models, nn
     from mixedae.losses import compute_balance_weights
     from mixedae.rng import derive_seed, gaussian, make_rng
@@ -256,18 +256,14 @@ def separate_vae(train, y, cfg, weights=None):
     y = np.asarray(y, dtype=np.float64)
     y_lo, y_hi = float(y.min()), float(y.max())
     ys = ((y - y_lo) / (y_hi - y_lo))[:, None]
-    if cfg.loss.needs_weights and weights is None:
-        weights = compute_balance_weights(enc)
+    weights = compute_balance_weights(enc) if cfg.loss.needs_weights else None
     nets = models.build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
     opts = [nn.AdamState.like(net.params) for net in nets.all()]
     shuffle = make_rng(derive_seed(cfg.seed, 1))
     noise_rng = make_rng(derive_seed(cfg.seed, 2))
-    checkpoints = models.checkpoint_epochs(cfg.epochs)
-    history = []
     n = X.shape[0]
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle.permutation(n)
-        last_value = np.nan
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = X[idx], ys[idx]
@@ -280,7 +276,7 @@ def separate_vae(train, y, cfg, weights=None):
             t3 = nn.forward(nets.hl3, z)
             t_x = nn.forward(nets.hl41, t3.output)
             t_y = nn.forward(nets.hl42, t3.output)
-            last_value, (gx, gy, g_mu_kl, g_lv_kl) = frozen_vae_loss(
+            _, (gx, gy, g_mu_kl, g_lv_kl) = frozen_vae_loss(
                 t_x.output, xb, t_y.output, yb, mu, logvar, weights, cfg.loss
             )
             g41 = nn.backward(nets.hl41, t_x, gx)
@@ -294,9 +290,7 @@ def separate_vae(train, y, cfg, weights=None):
             g1 = nn.backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input)
             for net, opt, g in zip(nets.all(), opts, [g1, g21, g22, g3, g41, g42]):
                 nn.adam_step(opt, net.params, g.flat, cfg.learning_rate)
-        for _ in range(checkpoints.count(epoch)):
-            history.append((epoch, last_value))
-    return nets, np.asarray(history)
+    return nets
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedae import models
 from mixedae.cli import DEFAULTS, dump_config, load_config, main
 from mixedae.experiments import load_report_csv
 from mixedae.models import TrainedVAE, load_model
@@ -236,6 +237,21 @@ class TestTrain:
         assert isinstance(model, TrainedVAE)
         assert model.config.epochs == 10 and model.config.dim_hidden == 20
 
+    @pytest.mark.parametrize(
+        "train_section, flags, epochs",
+        [("", (), 2), ("", ("--epochs", "3"), 3), ("epochs = 4\n", (), 4)],
+        ids=["vae-section", "flag", "train-section"],
+    )
+    def test_vae_train_budget(self, tmp_path, train_section, flags, epochs):
+        cfg = tmp_path / "train.ini"
+        out = tmp_path / "vae"
+        cfg.write_text(
+            "[data]\nn = 300\n[experiment]\nmodel = vae\n[vae]\nepochs = 2\n"
+            f"[train]\n{train_section}[output]\ndir = {out}\n"
+        )
+        assert run_cli("train", "--config", str(cfg), *flags) == 0
+        assert load_model(out / "model.ckpt").config.epochs == epochs
+
     def test_unknown_model_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "train.ini"
         cfg.write_text(f"[experiment]\nmodel = vea\n[output]\ndir = {tmp_path / 'out'}\n")
@@ -423,6 +439,20 @@ class TestExperiment:
         )
         assert run_cli(command, "--config", str(cfg)) == 3
         assert "schema has no columns" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_clusters_above_the_train_split_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("an arm trained")
+
+        monkeypatch.setattr(models, "train_autoencoder_arms", no_training)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[data]\nn = 1200\n[experiment]\ntask = unsupervised\nclusters = 5000\nruns = 1\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg)) == 2
+        assert "clusters = 5000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_loss_flag(self, tiny_experiment_config):

@@ -158,3 +158,100 @@ def test_imports_load_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.strip() == "[]"
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, int, str, int | None]]:
+    """(function, line, parameter, position or None) for every parameter with
+    a default, in every function and method. The position counts from the
+    first argument a call spells out, so a method's ``self`` or ``cls`` is
+    not counted; a keyword-only parameter has None."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    tree = ast.parse(source)
+    bound = {
+        id(item)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, functions)
+        and "staticmethod" not in {getattr(d, "id", None) for d in item.decorator_list}
+    }
+    found = []
+    for node in (node for node in ast.walk(tree) if isinstance(node, functions)):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first, skip = len(positional) - len(args.defaults), 1 if id(node) in bound else 0
+        found.extend(
+            (node.name, node.lineno, arg.arg, position - skip)
+            for position, arg in enumerate(positional)
+            if position >= first
+        )
+        found.extend(
+            (node.name, node.lineno, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        )
+    return found
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def passed_arguments(source: str) -> dict[str, set]:
+    """Per called name, what its calls pass: keyword names, the positions of
+    positional arguments, and "*" for a call that unpacks ``*args`` or ``**kwargs``.
+    A call through a variable counts for every function named in the
+    expression assigned to it, so ``run = f if c else g; run(x=1)`` passes
+    ``x`` to both ``f`` and ``g``."""
+    tree = ast.parse(source)
+    aliases: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            named = {_name(sub) for sub in ast.walk(node.value)} - {None}
+            aliases.setdefault(node.targets[0].id, set()).update(named)
+    passed: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or _name(node.func) is None:
+            continue
+        got = {kw.arg or "*" for kw in node.keywords}
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            got.add("*")
+        got.update(range(len(node.args)))
+        for name in {_name(node.func)} | aliases.get(_name(node.func), set()):
+            passed.setdefault(name, set()).update(got)
+    return passed
+
+
+def test_default_scanner():
+    package = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "def g(a=0, b=1): pass\n"
+        "class K:\n"
+        "    def m(self, x=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(x=0): pass\n"
+    )
+    caller = "f(1, c=3)\nrun = g if True else h\nrun(0, b=2)\nK().m(1)\nK.s()\n"
+    passed = passed_arguments(caller)
+    unpassed = [
+        (fn, param)
+        for fn, _, param, position in defaulted_parameters(package)
+        if not passed.get(fn, set()) & {param, position, "*"}
+    ]
+    assert unpassed == [("f", "b"), ("s", "x")]
+
+
+def test_every_default_is_passed_by_a_caller():
+    """A keyword that no caller in the repository passes is a constant."""
+    passed: dict[str, set] = {}
+    for folder in SEARCHED:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for name, got in passed_arguments(path.read_text(encoding="utf-8")).items():
+                passed.setdefault(name, set()).update(got)
+    unpassed = [
+        f"{path.name}:{line} {fn} {param}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn, line, param, position in defaulted_parameters(path.read_text(encoding="utf-8"))
+        if not passed.get(fn, set()) & {param, position, "*"}
+    ]
+    assert unpassed == []

@@ -5,7 +5,7 @@ import pytest
 
 import mixedae.models as models
 from mixedae import errors, metrics, nn, tabular
-from mixedae.losses import LossWeights
+from mixedae.losses import LossWeights, compute_balance_weights
 from mixedae.models import (
     AutoencoderConfig,
     VAEConfig,
@@ -140,9 +140,12 @@ class TestTrainAutoencoder:
     def test_balanced_uses_encoder_weights(self, synthetic_split):
         train, _, enc = synthetic_split
         X = encode(train, enc)
-        model = train_autoencoder(X, AutoencoderConfig(epochs=5, seed=7, loss="balanced"))
-        assert model.weights is not None
-        assert model.weights.w_one.shape == (X.width,)
+        cfg = AutoencoderConfig(epochs=5, seed=7, loss="balanced")
+        default = train_autoencoder(X, cfg)
+        given = train_autoencoder(X, cfg, weights=compute_balance_weights(enc))
+        assert nets_equal(default.encoder_net, given.encoder_net)
+        assert nets_equal(default.decoder_net, given.decoder_net)
+        assert np.array_equal(default.curves.errors, given.curves.errors)
 
 
 class TestTrainAutoencoderBudgets:
@@ -193,11 +196,10 @@ class TestLockstepArms:
         assert len(arms) == len(losses)
         for loss, got in zip(losses, arms):
             cfg = VAEConfig(epochs=4, seed=9, loss=loss)
-            nets, history = separate_vae(X, train.y, cfg)
+            nets = separate_vae(X, train.y, cfg)
             assert got.config == cfg
             for a, b in zip(got.nets.all(), nets.all()):
                 assert a.params.ndim == 1 and np.array_equal(a.params, b.params)
-            assert np.array_equal(got.loss_checkpoints, history)
 
     def test_non_binary_target_raised_before_first_step(self, synthetic_split, monkeypatch):
         train, _, enc = synthetic_split
@@ -363,7 +365,6 @@ class TestSaveLoad:
         assert nets_equal(autoencoder.decoder_net, back.decoder_net)
         assert back.config == autoencoder.config
         assert back.state.numeric_range == enc.numeric_range
-        assert np.array_equal(back.weights.w_one, autoencoder.weights.w_one)
         assert same_dataset(reconstruct(back, test), reconstruct(autoencoder, test))
         assert np.array_equal(latent(back, test), latent(autoencoder, test))
 
@@ -551,10 +552,6 @@ class TestTrainVae:
         a = train_vae(X, train.y, VAEConfig(epochs=15, seed=12))
         b = train_vae(X, train.y, VAEConfig(epochs=15, seed=12))
         assert all(nets_equal(x, y) for x, y in zip(a.nets.all(), b.nets.all()))
-
-    def test_loss_finite_at_checkpoints(self, trained):
-        assert trained.loss_checkpoints.shape == (10, 2)
-        assert np.all(np.isfinite(trained.loss_checkpoints[:, 1]))
 
     def test_reconstruct_schema(self, trained, synthetic_split):
         _, test, _ = synthetic_split
