@@ -232,6 +232,10 @@ class ExperimentConfig:
             raise FractionOutOfRange(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.clusters < 1:
             raise ConfigError(f"clusters must be >= 1, got {self.clusters}")
+        if self.source.kind == "synthetic":  # n is known, so are the split's sizes (a CSV's: in _run_once)
+            train_n = tabular.split_sizes(self.source.n, self.test_fraction)[0]
+            if self.task == "unsupervised" and self.clusters > train_n:
+                raise ConfigError(f"clusters = {self.clusters} exceeds the {train_n} rows of the train split")
 
 
 @dataclass(frozen=True)

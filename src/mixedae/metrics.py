@@ -316,9 +316,12 @@ def msem(
         x = original.column(c.name)
         r = reconstructed.column(c.name)
         if c.is_categorical:
-            accs = [
-                balanced_accuracy(x == k, r == k) for k in range(len(c.categories))
-            ]
+            accs = []
+            for k, cat in enumerate(c.categories):
+                try:
+                    accs.append(balanced_accuracy(x == k, r == k))
+                except SingleClassTruth as e:
+                    raise SingleClassTruth(f"category {cat!r} of {c.name!r} is in no or every row: {e}") from e
             total += 1.0 - float(np.mean(accs))
         else:
             if enc is not None:
@@ -380,25 +383,25 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
 
     # direct differences (|x|^2 + |y|^2 - 2xy loses ~1e-10 relative precision
     # for separated clusters), one dimension at a time in np.sum's order, in
-    # strips of rows on and above the diagonal, mirrored: (a-b)^2 == (b-a)^2.
-    # Squares and roots are taken in place; they are the same bits.
+    # strips of rows on and above the diagonal. No n x n matrix is kept: each
+    # strip adds its rows' cluster sums and, mirrored ((a-b)^2 == (b-a)^2),
+    # those of the rows below it. Squares and roots are taken in place.
     coords = points.T.copy()
-    dist = np.empty((n, n))
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), li] = 1.0
+    sums = np.zeros((n, k))  # total distance from each point to each cluster
     for start in range(0, n, _STRIP):
-        rows, cols = coords[:, start : start + _STRIP, None], coords[:, None, start:]
+        stop = min(start + _STRIP, n)
+        rows, cols = coords[:, start:stop, None], coords[:, None, start:]
 
         def square(k: int) -> np.ndarray:
             d = rows[k] - cols[k]
             return np.square(d, out=d)
 
         upper = _pairwise_sum(square, 0, len(coords))  # the float 0.0 when d = 0
-        upper = np.sqrt(upper, out=np.asarray(upper))
-        dist[start : start + _STRIP, start:] = upper
-        dist[start:, start : start + _STRIP] = upper.T
-
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), li] = 1.0
-    sums = dist @ onehot  # total distance from each point to each cluster
+        upper = np.broadcast_to(np.sqrt(upper, out=np.asarray(upper)), (stop - start, n - start))
+        sums[start:stop] += upper @ onehot[start:]
+        sums[stop:] += upper[:, stop - start :].T @ onehot[start:stop]
 
     own_count = counts[li]
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -562,15 +562,19 @@ def generate_synthetic(
     return Dataset(schema, cols, y=y)
 
 
+def split_sizes(n: int, test_fraction: float) -> tuple[int, int]:
+    """(train, test) rows of :func:`split` on n rows; both must be >= 1."""
+    if not 0.0 < test_fraction < 1.0:  # false for nan too
+        raise FractionOutOfRange(f"test_fraction must be in (0, 1), got {test_fraction}")
+    test_n = int(round(n * test_fraction))
+    if test_n == 0 or test_n == n:
+        raise FractionOutOfRange(f"test_fraction {test_fraction} leaves an empty split for n={n}")
+    return n - test_n, test_n
+
+
 def split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Uniform random partition without replacement, deterministic per seed."""
-    if not 0.0 < test_fraction < 1.0:
-        raise FractionOutOfRange(f"test_fraction must be in (0, 1), got {test_fraction}")
-    test_n = int(round(data.n * test_fraction))
-    if test_n == 0 or test_n == data.n:
-        raise FractionOutOfRange(
-            f"test_fraction {test_fraction} leaves an empty split for n={data.n}"
-        )
+    test_n = split_sizes(data.n, test_fraction)[1]
     perm = make_rng(seed).permutation(data.n)
     test_idx = np.sort(perm[:test_n])
     train_idx = np.sort(perm[test_n:])

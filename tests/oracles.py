@@ -383,7 +383,9 @@ def masked_confusion_counts(y_true, y_pred):
     )
 
 
-def full_matrix_silhouette(points, labels):
+def _full_distances(points, labels):
+    """Checks, levels and the whole n x n distance matrix, built in blocks
+    of rows x n x d with np.sum."""
     from mixedae.errors import LengthMismatch, SingleCluster
 
     points = np.asarray(points, dtype=np.float64)
@@ -394,17 +396,20 @@ def full_matrix_silhouette(points, labels):
     if n < 3:
         raise LengthMismatch("need at least 3 points")
     _, li, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    k = counts.size
-    if k < 2:
+    if counts.size < 2:
         raise SingleCluster("need at least 2 clusters")
     dist = np.empty((n, n))
     step = max(1, 2**22 // max(1, n * points.shape[1]))
     for start in range(0, n, step):
         block = points[start : start + step, None, :] - points[None, :, :]
         dist[start : start + step] = np.sqrt(np.sum(block * block, axis=2))
-    onehot = np.zeros((n, k))
+    onehot = np.zeros((n, counts.size))
     onehot[np.arange(n), li] = 1.0
-    sums = dist @ onehot
+    return dist, onehot, li, counts
+
+
+def _silhouette_from_sums(sums, li, counts):
+    n = li.size
     own_count = counts[li]
     with np.errstate(invalid="ignore", divide="ignore"):
         a = sums[np.arange(n), li] / np.maximum(own_count - 1, 1)
@@ -415,6 +420,27 @@ def full_matrix_silhouette(points, labels):
     s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)
     s = np.where(own_count == 1, 0.0, s)
     return float(np.mean(s))
+
+
+def full_matrix_silhouette(points, labels):
+    """Cluster sums from the whole matrix, added in the 32-row strips of
+    metrics.silhouette: each strip's rows on and above the diagonal, then
+    the mirrored columns of the rows below it."""
+    dist, onehot, li, counts = _full_distances(points, labels)
+    n = li.size
+    sums = np.zeros(onehot.shape)
+    for s in range(0, n, 32):
+        e = min(s + 32, n)
+        sums[s:e] += dist[s:e, s:] @ onehot[s:]
+        sums[e:] += dist[s:e, e:].T @ onehot[s:e]
+    return _silhouette_from_sums(sums, li, counts)
+
+
+def single_gemm_silhouette(points, labels):
+    """Cluster sums as one n x n x k product, as before the strips; equal to
+    full_matrix_silhouette up to the order of the additions."""
+    dist, onehot, li, counts = _full_distances(points, labels)
+    return _silhouette_from_sums(dist @ onehot, li, counts)
 
 
 def unique_rank_auc(y_true, scores):

@@ -455,6 +455,46 @@ class TestExperiment:
         assert "clusters = 5000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[data]\nn = 1200\n[experiment]\ntask = unsupervised\nclusters = 5000\n",
+                "clusters = 5000 exceeds the 720 rows of the train split",
+            ),
+            ("[data]\nn = 5\n[experiment]\ntest_fraction = 0.05\n", "leaves an empty split for n=5"),
+        ],
+    )
+    def test_synthetic_split_bounds_exit_2_under_dry_run(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
+        assert message in capsys.readouterr().err
+
+    def test_csv_clusters_checked_after_the_split(self, tmp_path, capsys):
+        # a CSV's row count is unknown until it loads, so --dry-run passes
+        data = tmp_path / "d.csv"
+        data.write_text("a,q\n" + "".join(f"{i}.0,{'uv'[i % 2]}\n" for i in range(10)))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {data}\n"
+            f"[experiment]\ntask = unsupervised\nclusters = 7\nruns = 1\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 0
+        assert run_cli("experiment", "--config", str(cfg)) == 2
+        assert "clusters = 7 exceeds the 6 rows of the train split" in capsys.readouterr().err
+
+    def test_msem_names_the_category_missing_from_the_test_split(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[data]\nn = 300\n[experiment]\nruns = 1\nepochs = 3\nlosses = standard\nseed = 1\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "category 'Q5.01' of 'Q5'" in err and "single class" in err
+
     def test_bad_loss_flag(self, tiny_experiment_config):
         assert (
             run_cli("experiment", "--config", str(tiny_experiment_config), "--loss", "huh")

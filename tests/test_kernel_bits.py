@@ -23,6 +23,7 @@ from oracles import (
     masked_confusion_counts,
     masked_logistic_fit,
     masked_sigmoid,
+    single_gemm_silhouette,
     unique_cramers_v,
     unique_eta_squared,
     unique_rank_auc,
@@ -255,32 +256,42 @@ class TestSilhouette:
         labels = rng.integers(0, 3, 100)
         assert_same(metrics.silhouette, full_matrix_silhouette, points, labels)
 
-    def test_peak_memory_below_two_distance_matrices(self):
-        # the distance matrix is 11.5 MB; a rows x n x d block would add up to 32 MB
-        n, d = 1200, 33
+    @pytest.mark.parametrize(
+        "n, d", [(700, 10), (1025, 4), (300, 50), *((100, d) for d in (7, 17, 129, 294)), (1200, 33)]
+    )
+    def test_single_gemm_sums_agree(self, n, d):
+        # the strips add each point's cluster sums in another order than one
+        # n x n x k product; on these shapes that moves the score by < 1e-14
+        rng = np.random.default_rng(n * d)
+        points = rng.normal(size=(n, d)) * rng.lognormal(size=d) + rng.integers(0, 3, (n, 1)) * 4.0
+        labels = rng.integers(0, 4, n)
+        strips, gemm = full_matrix_silhouette(points, labels), single_gemm_silhouette(points, labels)
+        assert strips != 0.0 and abs(strips - gemm) <= 1e-14 * abs(gemm)
+
+    @staticmethod
+    def traced_peak(n, d):
         rng = np.random.default_rng(0)
         points, labels = rng.normal(size=(n, d)), rng.integers(0, 4, n)
         tracemalloc.start()
         try:
             metrics.silhouette(points, labels)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n * n * 8
+
+    def test_peak_memory_below_two_distance_matrices(self):
+        # no distance matrix is held (it would be 11.5 MB), nor a rows x n x d
+        # block (up to 32 MB)
+        assert self.traced_peak(1200, 33) < 3e6
 
     def test_strip_buffers_stay_small(self):
-        # beyond the distance matrix, each 32 x n strip's running sums are
-        # built one at a time: at most a few strips are held at once
-        n, d = 1200, 33
-        rng = np.random.default_rng(0)
-        points, labels = rng.normal(size=(n, d)), rng.integers(0, 4, n)
-        tracemalloc.start()
-        try:
-            metrics.silhouette(points, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - n * n * 8 < 2.5e6
+        # each 32 x n strip's running sums are built one at a time: at most a
+        # few strips are held at once (2.34 MB with numpy 2.4)
+        assert self.traced_peak(1200, 33) < 2.5e6
+
+    def test_peak_memory_does_not_grow_with_n_squared(self):
+        # the distance matrix alone would take 128 MB
+        assert self.traced_peak(4000, 2) < 8e6
 
 
 class TestPairwiseSum:
