@@ -37,7 +37,7 @@ def _defaults(cls, *keys: str) -> dict[str, str]:
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "data": {
-        "source": "synthetic",
+        "source": DataSource.kind,
         **_defaults(DataSource, "context", "n", "coeffs"),
         "csv_path": "",
         "schema_path": "",
@@ -51,7 +51,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "autoencoder": _defaults(AutoencoderConfig, "dim_z", "batch_size", "learning_rate"),
     "vae": _defaults(VAEConfig, "dim_hidden", "dim_z", "batch_size", "learning_rate", "epochs"),
-    "train": {"loss": "standard", **_defaults(AutoencoderConfig, "epochs", "seed")},  # as the VAE's
+    # [train] epochs and seed are the VAE's defaults too
+    "train": {"loss": AutoencoderConfig().loss.label, **_defaults(AutoencoderConfig, "epochs", "seed")},
     "output": {
         "dir": "out",
         "jobs": "1",
@@ -151,6 +152,14 @@ def _source_from_config(cfg) -> DataSource:
     )
 
 
+def _out_dir(args, cfg) -> Path:
+    """``--out`` or ``[output] dir``; refused before any data loads if it is not a directory."""
+    out = Path(args.out or cfg["output"]["dir"])
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output directory {out} exists and is not a directory")
+    return out
+
+
 def _override(cfg, section: str, **flags) -> None:
     """Set the keys of ``section`` whose command-line flag was given."""
     for key, value in flags.items():
@@ -196,6 +205,7 @@ def cmd_train(args) -> int:
         del fields["epochs"]
     # the config checks its values before the data loads
     model_cfg = _dataclass(cfg, kind, MODEL_CONFIGS[kind], loss=cfg["train"]["loss"], **fields)
+    out_dir = _out_dir(args, cfg)
     data = experiments.load_source(_source_from_config(cfg), model_cfg.seed)
     enc = tabular.fit_encoder(data)
     matrix = tabular.encode(data, enc)
@@ -206,7 +216,6 @@ def cmd_train(args) -> int:
         model = models.train_vae(matrix, data.y, model_cfg)
     else:
         model = models.train_autoencoder(matrix, model_cfg)
-    out_dir = Path(args.out or cfg["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "autoencoder":
         models.curves_to_csv([model.curves], out_dir / "curves.csv")
@@ -227,7 +236,10 @@ def cmd_experiment(args) -> int:
     jobs = args.jobs if args.jobs is not None else _parse(cfg, "output", "jobs", 0)
     if jobs < 1:
         raise ConfigError(f"[output] jobs and --jobs must be >= 1, got {jobs}")
+    out_dir = _out_dir(args, cfg)
     if args.dry_run:
+        if not vae and exp_cfg.source.kind == "synthetic":  # a CSV's width is known once it loads
+            models.autoencoder_widths(tabular.synthetic_schema().spans[-1].stop, exp_cfg.ae.dim_z)
         budgets = [exp_cfg.vae.epochs] if vae else list(exp_cfg.epochs)
         print(f"config ok: {exp_cfg.runs} runs x epochs {budgets} x "
               f"losses {list(exp_cfg.losses)} on {exp_cfg.source.label} ({exp_cfg.task})")
@@ -235,7 +247,6 @@ def cmd_experiment(args) -> int:
 
     run = experiments.vae_experiment if vae else experiments.run_experiment
     report = run(exp_cfg, jobs=jobs)
-    out_dir = Path(args.out or cfg["output"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for f in (out_dir / "curves").glob("run_*.csv"):
         f.unlink()
@@ -281,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic CSV and schema sidecar")
-    p.add_argument("--context", default="imbalanced", choices=tabular.CONTEXTS)
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--context", default=DataSource.context, choices=tabular.CONTEXTS)
+    p.add_argument("--n", type=int, default=DataSource.n)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -329,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    except (MixedAEError, FileNotFoundError) as e:
+    except (MixedAEError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

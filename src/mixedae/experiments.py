@@ -489,6 +489,8 @@ def _experiment(kind: str, cfg: ExperimentConfig, jobs: int) -> ExperimentReport
     data = load_source(cfg.source, derive_seed(cfg.seed, 0))
     if data.y is None and (kind == "vae" or _needs_target(cfg.task)):  # the VAE has a target head
         raise DataError(f"the {kind} experiment with task {cfg.task!r} needs a target column")
+    if kind == "autoencoder":  # the widths need only the encoded width, known before any split
+        models.autoencoder_widths(data.schema.spans[-1].stop, cfg.ae.dim_z)
     rows: list[ReportRow] = []
     curves: dict[tuple[int, int, str], LearningCurves] = {}
     for got_rows, got_curves in _map_runs(partial(_run_once, kind), data, cfg, jobs):

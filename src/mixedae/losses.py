@@ -72,8 +72,8 @@ class LossWeights:
         ``w_zero``. Categorical targets must be hard 0/1 (:class:`NonBinaryTarget`)."""
         if target.shape[1] != self.width:
             raise ShapeError(f"weights cover {self.width} features, batch has {target.shape[1]}")
-        cat = target[:, self.is_categorical]
-        if not np.all((cat == 0.0) | (cat == 1.0)):
+        off = (target != 0.0) & (target != 1.0)  # a boolean mask: no float copy of any column
+        if (off.any(axis=0) & self.is_categorical).any():
             raise NonBinaryTarget("categorical target entries must be exactly 0 or 1")
         return np.where(target == 1.0, self.w_one, self.w_zero)
 
@@ -89,19 +89,20 @@ def compute_balance_weights(enc: EncoderState) -> LossWeights:
     w1 = np.ones(enc.width)
     w0 = np.ones(enc.width)
     is_cat = np.zeros(enc.width, dtype=bool)
-    for j, f in enumerate(enc.features):
-        if f.category is None:
-            continue
-        counts = enc.category_counts[f.column]
-        n_kq = int(counts[f.category])
-        p_q = len(counts)
-        if n_kq < 1 or n_kq > n - 1:
-            raise DegenerateCategory(
-                f"category {f.name!r} has count {n_kq} of {n}; balance weight singular"
-            )
-        w1[j] = n / (2.0 * p_q * n_kq)
-        w0[j] = n / (2.0 * p_q * (n - n_kq))
-        is_cat[j] = True
+    for c, span in zip(enc.schema.columns, enc.schema.spans):
+        if c.is_categorical:
+            counts = enc.category_counts[c.name]
+            p_q = len(counts)
+            singular = np.flatnonzero((counts < 1) | (counts > n - 1))
+            if singular.size:
+                k = singular[0]
+                raise DegenerateCategory(
+                    f"category {enc.feature_names()[span][k]!r} has count {counts[k]} of {n}; "
+                    "balance weight singular"
+                )
+            w1[span] = n / (2.0 * p_q * counts)
+            w0[span] = n / (2.0 * p_q * (n - counts))
+            is_cat[span] = True
     return LossWeights(w1, w0, is_cat)
 
 

@@ -115,13 +115,18 @@ def checkpoint_epochs(epochs: int) -> list[int]:
     return [max(1, -(-k * epochs // 10)) for k in range(1, 11)]
 
 
-def build_autoencoder(p: int, dim_z: int, seed: int) -> tuple[Network, Network]:
-    """Mirror-symmetric Tanh stacks p -> p-q -> p-2q -> p-3q -> dim_z and back."""
+def autoencoder_widths(p: int, dim_z: int) -> list[int]:
+    """Encoder widths p, p-q, p-2q, p-3q (q = p // 10); DegenerateWidth unless all exceed dim_z."""
     q = p // 10
     widths = [p, p - q, p - 2 * q, p - 3 * q]
     if any(w <= dim_z or w <= 0 for w in widths):
         raise DegenerateWidth(f"widths {widths} must all exceed dim_z={dim_z}")
-    enc_dims = widths + [dim_z]
+    return widths
+
+
+def build_autoencoder(p: int, dim_z: int, seed: int) -> tuple[Network, Network]:
+    """Mirror-symmetric Tanh stacks p -> p-q -> p-2q -> p-3q -> dim_z and back."""
+    enc_dims = autoencoder_widths(p, dim_z) + [dim_z]
     dec_dims = enc_dims[::-1]
     acts = [nn.TANH] * 4
     phi = nn.init_network(enc_dims, acts, derive_seed(seed, 0))

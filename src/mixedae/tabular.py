@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,12 @@ class Schema:
     def categorical_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns if c.is_categorical)
 
+    @cached_property
+    def spans(self) -> tuple[slice, ...]:
+        """Per column, its encoded columns: one if numeric, one per category if categorical."""
+        stops = np.cumsum([len(c.categories) if c.is_categorical else 1 for c in self.columns])
+        return tuple(map(slice, [0, *stops[:-1].tolist()], stops.tolist()))
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -147,15 +154,6 @@ class Dataset:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FeatureRef:
-    """One encoded column: a numeric variable, or one category of a variable."""
-
-    column: str
-    category: int | None  # None for numeric features
-    name: str
-
-
-@dataclass(frozen=True)
 class EncoderState:
     """Scaling ranges and category counts fitted on a training split."""
 
@@ -163,48 +161,33 @@ class EncoderState:
     n: int
     numeric_range: dict[str, tuple[float, float]]
     category_counts: dict[str, np.ndarray]
-    features: tuple[FeatureRef, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", _feature_refs(self.schema))
         counts = {k: _freeze(np.asarray(v, dtype=np.int64)) for k, v in self.category_counts.items()}
         object.__setattr__(self, "category_counts", counts)
 
     @property
     def width(self) -> int:
         """Encoded width P."""
-        return len(self.features)
+        return self.schema.spans[-1].stop
 
     def feature_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.features)
+        """Per encoded feature: ``name=category`` if one-hot, ``name`` if numeric."""
+        return tuple(f"{c.name}={cat}" if c.is_categorical else c.name
+                     for c in self.schema.columns for cat in c.categories or (None,))
 
     def feature_frequencies(self) -> np.ndarray:
         """Per encoded feature: f_kq for one-hot columns, NaN for numerics."""
         out = np.full(self.width, np.nan)
-        for j, f in enumerate(self.features):
-            if f.category is not None:
-                out[j] = self.category_counts[f.column][f.category] / self.n
+        for c, span in zip(self.schema.columns, self.schema.spans):
+            if c.is_categorical:
+                out[span] = self.category_counts[c.name] / self.n
         return out
 
     def categorical_groups(self) -> list[np.ndarray]:
         """Encoded-column index arrays, one per categorical variable."""
-        groups: dict[str, list[int]] = {}
-        for j, f in enumerate(self.features):
-            if f.category is not None:
-                groups.setdefault(f.column, []).append(j)
-        return [np.asarray(groups[name]) for name in self.schema.categorical_names()]
-
-
-def _feature_refs(schema: Schema) -> tuple[FeatureRef, ...]:
-    refs = []
-    for c in schema.columns:
-        if c.is_categorical:
-            refs.extend(
-                FeatureRef(c.name, k, f"{c.name}={cat}") for k, cat in enumerate(c.categories)
-            )
-        else:
-            refs.append(FeatureRef(c.name, None, c.name))
-    return tuple(refs)
+        spans = zip(self.schema.columns, self.schema.spans)
+        return [np.arange(span.start, span.stop) for c, span in spans if c.is_categorical]
 
 
 @dataclass(frozen=True)
@@ -265,17 +248,13 @@ def encode(data: Dataset, enc: EncoderState) -> EncodedMatrix:
     if data.schema != enc.schema:
         raise SchemaMismatch("dataset schema differs from encoder schema")
     out = np.zeros((data.n, enc.width))
-    j = 0
-    for c in data.schema.columns:
+    for c, span in zip(data.schema.columns, data.schema.spans):
         v = data.column(c.name)
         if c.is_categorical:
-            p_q = len(c.categories)
-            out[np.arange(data.n), j + v] = 1.0
-            j += p_q
+            out[np.arange(data.n), span.start + v] = 1.0
         else:
             lo, hi = enc.numeric_range[c.name]
-            out[:, j] = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
-            j += 1
+            out[:, span.start] = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
     return EncodedMatrix(out, enc)
 
 
@@ -288,16 +267,12 @@ def decode(m: EncodedMatrix, enc: EncoderState) -> Dataset:
     if m.width != enc.width:
         raise ShapeError(f"matrix width {m.width} != encoder width {enc.width}")
     cols: dict[str, np.ndarray] = {}
-    j = 0
-    for c in enc.schema.columns:
+    for c, span in zip(enc.schema.columns, enc.schema.spans):
         if c.is_categorical:
-            p_q = len(c.categories)
-            cols[c.name] = np.argmax(m.values[:, j : j + p_q], axis=1)
-            j += p_q
+            cols[c.name] = np.argmax(m.values[:, span], axis=1)
         else:
             lo, hi = enc.numeric_range[c.name]
-            cols[c.name] = lo + m.values[:, j] * (hi - lo)
-            j += 1
+            cols[c.name] = lo + m.values[:, span.start] * (hi - lo)
     return Dataset(enc.schema, cols)
 
 

@@ -4,6 +4,8 @@ These stay deliberately naive (plain loops over the data) so they are
 independent of the vectorized code paths they check.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -494,3 +496,107 @@ def same_dataset(a, b, numeric_tol=0.0):
         (np.array_equal if c.is_categorical else close)(a.column(c.name), b.column(c.name))
         for c in a.schema.columns
     ) and (a.y is None or close(a.y, b.y))
+
+
+# ----------------------------------------------------------------------
+# The one-hot layout, one encoded feature at a time
+# ----------------------------------------------------------------------
+# The encoder's layout code before ``Schema.spans``: a FeatureRef per
+# encoded column, running column offsets, and a scalar weight loop.
+
+@dataclass(frozen=True)
+class FeatureRef:
+    """One encoded column: a numeric variable, or one category of a variable."""
+
+    column: str
+    category: int | None  # None for numeric features
+    name: str
+
+
+def feature_refs(schema):
+    refs = []
+    for c in schema.columns:
+        if c.is_categorical:
+            refs.extend(FeatureRef(c.name, k, f"{c.name}={cat}") for k, cat in enumerate(c.categories))
+        else:
+            refs.append(FeatureRef(c.name, None, c.name))
+    return tuple(refs)
+
+
+def feature_names_per_feature(enc):
+    return tuple(f.name for f in feature_refs(enc.schema))
+
+
+def feature_frequencies_per_feature(enc):
+    features = feature_refs(enc.schema)
+    out = np.full(len(features), np.nan)
+    for j, f in enumerate(features):
+        if f.category is not None:
+            out[j] = enc.category_counts[f.column][f.category] / enc.n
+    return out
+
+
+def categorical_groups_per_feature(enc):
+    groups = {}
+    for j, f in enumerate(feature_refs(enc.schema)):
+        if f.category is not None:
+            groups.setdefault(f.column, []).append(j)
+    return [np.asarray(groups[name]) for name in enc.schema.categorical_names()]
+
+
+def offset_encode(data, enc):
+    """The n x P encoded matrix, filled at a running column offset."""
+    out = np.zeros((data.n, len(feature_refs(enc.schema))))
+    j = 0
+    for c in data.schema.columns:
+        v = data.column(c.name)
+        if c.is_categorical:
+            p_q = len(c.categories)
+            out[np.arange(data.n), j + v] = 1.0
+            j += p_q
+        else:
+            lo, hi = enc.numeric_range[c.name]
+            out[:, j] = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
+            j += 1
+    return out
+
+
+def offset_decode(values, enc):
+    """Decoded columns of an n x P matrix, read at a running column offset."""
+    cols = {}
+    j = 0
+    for c in enc.schema.columns:
+        if c.is_categorical:
+            p_q = len(c.categories)
+            cols[c.name] = np.argmax(values[:, j : j + p_q], axis=1)
+            j += p_q
+        else:
+            lo, hi = enc.numeric_range[c.name]
+            cols[c.name] = lo + values[:, j] * (hi - lo)
+            j += 1
+    return cols
+
+
+def scalar_balance_weights(enc):
+    """(w_one, w_zero, is_categorical), one encoded feature at a time."""
+    from mixedae.errors import DegenerateCategory
+
+    n = enc.n
+    features = feature_refs(enc.schema)
+    w1 = np.ones(len(features))
+    w0 = np.ones(len(features))
+    is_cat = np.zeros(len(features), dtype=bool)
+    for j, f in enumerate(features):
+        if f.category is None:
+            continue
+        counts = enc.category_counts[f.column]
+        n_kq = int(counts[f.category])
+        p_q = len(counts)
+        if n_kq < 1 or n_kq > n - 1:
+            raise DegenerateCategory(
+                f"category {f.name!r} has count {n_kq} of {n}; balance weight singular"
+            )
+        w1[j] = n / (2.0 * p_q * n_kq)
+        w0[j] = n / (2.0 * p_q * (n - n_kq))
+        is_cat[j] = True
+    return w1, w0, is_cat

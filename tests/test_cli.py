@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedae import models
-from mixedae.cli import DEFAULTS, dump_config, load_config, main
-from mixedae.experiments import load_report_csv
-from mixedae.models import TrainedVAE, load_model
+from mixedae import experiments, models
+from mixedae.cli import DEFAULTS, build_parser, dump_config, load_config, main
+from mixedae.experiments import DataSource, load_report_csv
+from mixedae.models import AutoencoderConfig, TrainedVAE, load_model
 from mixedae.errors import ConfigError, MixedAEError
 
 
@@ -36,6 +36,15 @@ def tiny_experiment_config(tmp_path):
         f"dir = {tmp_path / 'out'}\n"
     )
     return cfg
+
+
+@pytest.fixture()
+def no_training(monkeypatch):
+    """Fail the test if an autoencoder arm starts training."""
+    def fail(*args, **kwargs):
+        raise AssertionError("an arm trained")
+
+    monkeypatch.setattr(models, "train_autoencoder_arms", fail)
 
 
 class TestConfig:
@@ -70,6 +79,12 @@ class TestConfig:
         js = tmp_path / "a.json"
         js.write_text(json.dumps({"experiment": {"runs": 7}}))
         assert load_config(str(ini)) == load_config(str(js))
+
+    def test_defaults_have_one_source(self):
+        args = build_parser().parse_args(["generate", "--out", "data.csv"])
+        assert (args.context, args.n) == (DataSource().context, DataSource().n)
+        assert DEFAULTS["data"]["source"] == DataSource().kind
+        assert DEFAULTS["train"]["loss"] == AutoencoderConfig().loss.label
 
     def test_dump_config_format(self):
         text = dump_config(load_config(None))
@@ -472,12 +487,13 @@ class TestExperiment:
         assert message in capsys.readouterr().err
 
     def test_csv_clusters_checked_after_the_split(self, tmp_path, capsys):
-        # a CSV's row count is unknown until it loads, so --dry-run passes
+        # a CSV's row count is unknown until it loads, so --dry-run passes;
+        # dim_z = 1 sits below the widths of its 3 encoded columns
         data = tmp_path / "d.csv"
         data.write_text("a,q\n" + "".join(f"{i}.0,{'uv'[i % 2]}\n" for i in range(10)))
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
-            f"[data]\nsource = csv\ncsv_path = {data}\n"
+            f"[data]\nsource = csv\ncsv_path = {data}\n[autoencoder]\ndim_z = 1\n"
             f"[experiment]\ntask = unsupervised\nclusters = 7\nruns = 1\n[output]\ndir = {tmp_path / 'out'}\n"
         )
         assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 0
@@ -495,11 +511,80 @@ class TestExperiment:
         assert err.startswith("data error: ")
         assert "category 'Q5.01' of 'Q5'" in err and "single class" in err
 
+    def test_dim_z_above_the_widths_exits_2_under_dry_run(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[data]\nn = 600\n[autoencoder]\ndim_z = 24\n")
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
+        assert "widths [33, 30, 27, 24] must all exceed dim_z=24" in capsys.readouterr().err
+
+    def test_dim_z_does_not_bind_the_vae(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[data]\nn = 600\n[experiment]\nmodel = vae\n[autoencoder]\ndim_z = 24\n")
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 0
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    @pytest.mark.usefixtures("no_training")
+    def test_dim_z_checked_before_any_arm_trains(self, tmp_path, capsys, source):
+        data = tmp_path / "d.csv"
+        data.write_text("a,q,y\n" + "".join(f"{i}.0,{'uv'[i % 2]},{i % 3}.5\n" for i in range(20)))
+        # the CSV's features encode to 3 columns, below the default dim_z = 10
+        section, message = {
+            "synthetic": ("[data]\nn = 600\n[autoencoder]\ndim_z = 24\n", "widths [33, 30, 27, 24]"),
+            "csv": (f"[data]\nsource = csv\ncsv_path = {data}\ntarget = y\n", "widths [3, 3, 3, 3]"),
+        }[source]
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"{section}[experiment]\nruns = 1\nepochs = 2\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert run_cli("experiment", "--config", str(cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_loss_flag(self, tiny_experiment_config):
         assert (
             run_cli("experiment", "--config", str(tiny_experiment_config), "--loss", "huh")
             == 2
         )
+
+
+class TestUnusableOutputPath:
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.usefixtures("no_training")
+    def test_experiment_refuses_a_file_before_training(self, tmp_path, capsys, where):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[data]\nn = 600\n[experiment]\nruns = 1\nepochs = 2\n[output]\ndir = {out}\n")
+        flags = ["--out", str(out)] if where == "flag" else []
+        assert run_cli("experiment", "--config", str(cfg), *flags) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
+    def test_train_refuses_a_file_before_the_data_loads(self, tmp_path, capsys, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("the data loaded")
+
+        monkeypatch.setattr(experiments, "load_source", no_data)
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert run_cli("train", "--out", str(out)) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
+    def test_train_below_a_file_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("kept")
+        cfg = tmp_path / "train.ini"
+        cfg.write_text("[data]\nn = 1200\n[train]\nepochs = 2\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "file" / "sub")) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_generate_to_a_directory_is_a_data_error(self, tmp_path, capsys):
+        assert run_cli("generate", "--n", "20", "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_plot_data_to_a_directory_is_a_data_error(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text(f"{HEADER}\n0,x,10,standard,msem,0.5\n")
+        assert run_cli("report", str(report), "--plot-data", str(tmp_path)) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
 
 
 class TestReport:

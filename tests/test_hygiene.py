@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -255,3 +256,33 @@ def test_every_default_is_passed_by_a_caller():
         if not passed.get(fn, set()) & {param, position, "*"}
     ]
     assert unpassed == []
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def readme_dotted_names(text: str) -> list[str]:
+    """Backticked ``module.name[.attr...]`` spans whose first part is a module
+    of the package (``mixedae.`` allowed in front)."""
+    found = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+    return sorted({n for n in found if n.removeprefix("mixedae.").split(".")[0] in MODULES})
+
+
+def test_readme_scanner():
+    text = "`models._epochs`, `np.sum`, `report.csv`, `mixedae.nn`, `nn.Network.share`, `losses`"
+    assert readme_dotted_names(text) == ["mixedae.nn", "models._epochs", "nn.Network.share"]
+
+
+def test_readme_dotted_names_resolve():
+    """The library tour names only attributes the package has."""
+    names = readme_dotted_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    missing = []
+    for name in names:
+        module, *attrs = name.removeprefix("mixedae.").split(".")
+        obj = importlib.import_module(f"mixedae.{module}")
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(name)
+    assert len(names) >= 16 and missing == []

@@ -332,3 +332,42 @@ def test_weights_from_fitted_encoder():
     assert w.w_one[1] == pytest.approx(n / (2 * p_q * 6))
     assert w.w_one[3] == pytest.approx(n / (2 * p_q * 2))
     assert w.w_zero[2] == pytest.approx(n / (2 * p_q * 8))
+
+
+class TestSelect:
+    @staticmethod
+    def wide_targets(n=1800, numerics=6, p_q=24, blocks=12, seed=0):
+        """An n x (numerics + blocks * p_q) encoded matrix, the width of the
+        wide benchmark table (294), and its unit weights."""
+        rng = make_rng(seed)
+        one_hot = np.zeros((n, blocks * p_q))
+        codes = rng.integers(0, p_q, size=(n, blocks)) + p_q * np.arange(blocks)
+        one_hot[np.arange(n)[:, None], codes] = 1.0
+        target = np.hstack([rng.random((n, numerics)), one_hot])
+        return target, LossWeights.unit(target.shape[1], np.arange(target.shape[1]) >= numerics)
+
+    def test_peak_memory_holds_no_float_copy(self):
+        import tracemalloc
+
+        target, w = self.wide_targets()
+        tracemalloc.start()
+        try:
+            table = w.select(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table itself (4.2 MB) and boolean masks; a float copy of the
+        # categorical columns would add 4.1 MB
+        assert peak < 1.35 * table.nbytes
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, -1.0, 2.0])
+    def test_non_binary_categorical_entry_raises(self, bad):
+        target, w = self.wide_targets(n=40)
+        target[17, 100] = bad
+        with pytest.raises(errors.NonBinaryTarget):
+            w.select(target)
+
+    def test_numeric_entries_need_not_be_binary(self):
+        target, w = self.wide_targets(n=40)
+        target[:, :6] = np.linspace(-3.0, 7.5, 40 * 6).reshape(40, 6)
+        assert np.array_equal(w.select(target), np.where(target == 1.0, w.w_one, w.w_zero))

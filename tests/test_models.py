@@ -204,7 +204,7 @@ class TestLockstepArms:
     def test_non_binary_target_raised_before_first_step(self, synthetic_split, monkeypatch):
         train, _, enc = synthetic_split
         values = encode(train, enc).values.copy()
-        values[-1, next(j for j, f in enumerate(enc.features) if f.category is not None)] = 0.5
+        values[-1, enc.categorical_groups()[0][0]] = 0.5
         X = EncodedMatrix(values, enc)
 
         def no_step(*args, **kwargs):

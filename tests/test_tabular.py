@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mixedae import errors, tabular
+from mixedae.losses import compute_balance_weights
 from mixedae.tabular import (
     Column,
     Dataset,
@@ -354,6 +356,72 @@ def test_round_trip_property(n, seed):
     except (errors.EmptyCategory, errors.ConstantNumeric):
         return
     assert same_dataset(decode(encode(d, enc), enc), d, numeric_tol=1e-12)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: NaN equals NaN, 0.0 differs from -0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def layouts(draw):
+    """An encoder over 1-8 random columns (numeric, or 2-12 categories) with
+    random counts in [1, n - 1], up to three of them set to 0 or n; a
+    dataset for it, and a generator for a matrix."""
+    kinds = draw(st.lists(st.one_of(st.none(), st.integers(2, 12)), min_size=1, max_size=8))
+    schema = Schema(tuple(
+        Column(f"v{i}", None if k is None else tuple(f"v{i}.{j}" for j in range(k)))
+        for i, k in enumerate(kinds)
+    ))
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    counts, ranges, cols = {}, {}, {}
+    for c in schema.columns:
+        if c.is_categorical:
+            counts[c.name] = np.asarray(draw(st.lists(
+                st.integers(1, n - 1), min_size=len(c.categories), max_size=len(c.categories))))
+            cols[c.name] = rng.integers(0, len(c.categories), size=n)
+        else:
+            lo = draw(st.floats(-1e3, 1e3))
+            ranges[c.name] = (lo, lo + draw(st.floats(1e-3, 1e3)))
+            cols[c.name] = rng.normal(lo, 10.0, size=n)
+    for name in draw(st.lists(st.sampled_from(sorted(counts)), max_size=3)) if counts else ():
+        counts[name][draw(st.integers(0, len(counts[name]) - 1))] = draw(st.sampled_from([0, n]))
+    enc = tabular.EncoderState(schema, n, ranges, counts)
+    return enc, Dataset(schema, cols), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts())
+def test_spans_layout_equals_the_per_feature_oracle(layout):
+    """encode, decode, the feature views and the balance weights built on
+    ``Schema.spans`` equal the per-feature code bit for bit."""
+    enc, data, rng = layout
+    assert enc.width == len(oracles.feature_refs(enc.schema))
+    assert enc.feature_names() == oracles.feature_names_per_feature(enc)
+    assert same_bits(enc.feature_frequencies(), oracles.feature_frequencies_per_feature(enc))
+    got, want = enc.categorical_groups(), oracles.categorical_groups_per_feature(enc)
+    assert len(got) == len(want) and all(same_bits(g, w) for g, w in zip(got, want))
+
+    assert same_bits(encode(data, enc).values, oracles.offset_encode(data, enc))
+    # values in {0, 0.5, 1} and normals: argmax ties and interior scores alike
+    values = np.where(rng.random((data.n, enc.width)) < 0.5, rng.integers(0, 3, (data.n, enc.width)) / 2,
+                      rng.normal(size=(data.n, enc.width)))
+    decoded = decode(EncodedMatrix(values, enc), enc)
+    want_cols = oracles.offset_decode(values, enc)
+    assert all(same_bits(decoded.column(name), want_cols[name]) for name in enc.schema.names)
+
+    try:
+        want_weights = oracles.scalar_balance_weights(enc)
+    except errors.DegenerateCategory as e:
+        with pytest.raises(errors.DegenerateCategory) as got_error:
+            compute_balance_weights(enc)
+        assert str(got_error.value) == str(e)
+        return
+    w = compute_balance_weights(enc)
+    assert all(same_bits(g, x) for g, x in zip((w.w_one, w.w_zero, w.is_categorical), want_weights))
 
 
 class TestReadCsvFailures:
