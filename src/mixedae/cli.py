@@ -153,10 +153,11 @@ def _source_from_config(cfg) -> DataSource:
 
 
 def _out_dir(args, cfg) -> Path:
-    """``--out`` or ``[output] dir``; refused before any data loads if it is not a directory."""
+    """``--out`` or ``[output] dir``; refused before any data loads if it or a parent is a file."""
     out = Path(args.out or cfg["output"]["dir"])
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output directory {out} exists and is not a directory")
+    base = next(p for p in (out, *out.parents) if p.exists())
+    if not base.is_dir():
+        raise (ConfigError if base == out else DataError)(f"{base} exists and is not a directory")
     return out
 
 
@@ -236,10 +237,15 @@ def cmd_experiment(args) -> int:
     jobs = args.jobs if args.jobs is not None else _parse(cfg, "output", "jobs", 0)
     if jobs < 1:
         raise ConfigError(f"[output] jobs and --jobs must be >= 1, got {jobs}")
+    for loss in exp_cfg.losses if vae else ():  # VAEConfig refuses ce here, not in run 0
+        dataclasses.replace(exp_cfg.vae, loss=loss)
     out_dir = _out_dir(args, cfg)
     if args.dry_run:
-        if not vae and exp_cfg.source.kind == "synthetic":  # a CSV's width is known once it loads
-            models.autoencoder_widths(tabular.synthetic_schema().spans[-1].stop, exp_cfg.ae.dim_z)
+        src = exp_cfg.source  # a CSV's encoded width is known before it loads only from a sidecar
+        if not vae and (src.kind == "synthetic" or src.schema_path):
+            schema = (tabular.synthetic_schema() if src.kind == "synthetic"
+                      else tabular.load_schema_sidecar(src.schema_path)[0])
+            models.autoencoder_widths(schema.spans[-1].stop, exp_cfg.ae.dim_z)
         budgets = [exp_cfg.vae.epochs] if vae else list(exp_cfg.epochs)
         print(f"config ok: {exp_cfg.runs} runs x epochs {budgets} x "
               f"losses {list(exp_cfg.losses)} on {exp_cfg.source.label} ({exp_cfg.task})")

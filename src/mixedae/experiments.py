@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -334,21 +335,21 @@ def _downstream_metrics(
     task: str,
     X_train: np.ndarray,
     y_train: np.ndarray | None,
-    X_test: np.ndarray,
+    test_features: Callable[[], np.ndarray],
     y_test: np.ndarray | None,
     suffix: str,
 ) -> dict[str, float]:
-    """Fit the task proxy on (X_train, y_train), score on the test side."""
+    """Fit the task proxy on (X_train, y_train), then score it on ``test_features()``."""
     out: dict[str, float] = {}
     if task == "regression":
         model = ridge_fit(X_train, y_train, RIDGE_LAMBDA)
-        err = metrics.prediction_error(y_test, model.predict(X_test))
+        err = metrics.prediction_error(y_test, model.predict(test_features()))
         out[f"y_mse_{suffix}"] = err.mse
         out[f"y_mae_{suffix}"] = err.mae
         out[f"y_rmse_{suffix}"] = err.rmse
     elif task == "binary":
         model = logistic_fit(X_train, (y_train > 0.5).astype(float))
-        scores = model.predict_proba(X_test)
+        scores = model.predict_proba(test_features())
         truth = y_test > 0.5
         cls = metrics.classification_scores(truth, scores >= 0.5)
         out[f"f1_{suffix}"] = cls.f1
@@ -357,12 +358,9 @@ def _downstream_metrics(
         out[f"auc_{suffix}"] = metrics.rank_auc(truth, scores)
     elif task == "multiclass":
         classes = np.unique(np.concatenate([y_train, y_test]).astype(int))
-        scores = np.column_stack(
-            [
-                logistic_fit(X_train, (y_train.astype(int) == c).astype(float)).predict_proba(X_test)
-                for c in classes
-            ]
-        )
+        fits = [logistic_fit(X_train, (y_train.astype(int) == c).astype(float)) for c in classes]
+        X_test = test_features()
+        scores = np.column_stack([fit.predict_proba(X_test) for fit in fits])
         pred = classes[scores.argmax(axis=1)]
         out[f"acc_{suffix}"] = float(np.mean(pred == y_test.astype(int)))
     return out
@@ -385,18 +383,19 @@ def _train_autoencoders(X_train: EncodedMatrix, train: Dataset, cfg: ExperimentC
 
 
 def _score_autoencoder(
-    model: models.TrainedAutoencoder, train: Dataset, test: Dataset, X_test: EncodedMatrix,
+    model: models.TrainedAutoencoder, train: Dataset, test: Dataset, test_X: Callable[[], np.ndarray],
     cfg: ExperimentConfig, run: int,
 ) -> dict[str, float]:
     """Reconstruction metrics, the proxies on reconstructed and latent
     inputs, and for the unsupervised task the latent clustering."""
-    enc = X_test.encoder
+    enc = model.state
     recon_test = models.reconstruct(model, test)
     cell = {"msem": metrics.msem(test, recon_test, enc), "mc": metrics.mc_distance(test, recon_test)}
     if _needs_target(cfg.task):
         recon_train = encode(models.reconstruct(model, train), enc).values
-        cell.update(_downstream_metrics(cfg.task, recon_train, train.y, X_test.values, test.y, "recon"))
-        z_train, z_test = models.latent(model, train), models.latent(model, test)
+        cell.update(_downstream_metrics(cfg.task, recon_train, train.y, test_X, test.y, "recon"))
+        del recon_train
+        z_train, z_test = models.latent(model, train), lambda: models.latent(model, test)
         cell.update(_downstream_metrics(cfg.task, z_train, train.y, z_test, test.y, "latent"))
     if cfg.task == "unsupervised":
         cell["silhouette"] = _silhouette(models.latent(model, train), cfg, run)
@@ -411,12 +410,12 @@ def _train_vaes(X_train: EncodedMatrix, train: Dataset, cfg: ExperimentConfig, r
 
 
 def _score_vae(
-    model: models.TrainedVAE, train: Dataset, test: Dataset, X_test: EncodedMatrix,
+    model: models.TrainedVAE, train: Dataset, test: Dataset, test_X: Callable[[], np.ndarray],
     cfg: ExperimentConfig, run: int,
 ) -> dict[str, float]:
     """Reconstruction error, and the proxies fitted on a generated sample
     the size of the train split."""
-    enc = X_test.encoder
+    enc = model.state
     cell = {"msem": metrics.msem(test, models.vae_reconstruct(model, test), enc)}
     if _needs_target(cfg.task):
         generated = models.vae_generate(model, train.n, derive_seed(cfg.seed, run, 2))
@@ -426,7 +425,7 @@ def _score_vae(
         elif cfg.task == "multiclass":
             gen_y = np.clip(np.round(gen_y), 0, int(train.y.max()))
         gen_X = encode(generated, enc).values
-        cell.update(_downstream_metrics(cfg.task, gen_X, gen_y, X_test.values, test.y, "gen"))
+        cell.update(_downstream_metrics(cfg.task, gen_X, gen_y, test_X, test.y, "gen"))
     return cell
 
 
@@ -447,19 +446,20 @@ def _run_once(kind: str, data: Dataset, cfg: ExperimentConfig, run: int) -> tupl
             raise ConfigError(f"clusters = {cfg.clusters} exceeds the {train.n} rows of the train split")
         enc = fit_encoder(train)
         X_train = encode(train, enc)
-        X_test = encode(test, enc)
         # Training first lets the proxies reuse the memory its steps freed.
         arms = train_arms(X_train, train, cfg, run)
 
-        baseline = _downstream_metrics(cfg.task, X_train.values, train.y, X_test.values, test.y, suffix)
+        test_X = lambda: encode(test, enc).values  # made after each proxy fit, as no fit reads it
+        baseline = _downstream_metrics(cfg.task, X_train.values, train.y, test_X, test.y, suffix)
         if cfg.task == "unsupervised" and kind == "autoencoder":
             baseline["silhouette"] = _silhouette(X_train.values, cfg, run)
+        del X_train
         rows = [ReportRow(run, 0, BASELINE, k, v) for k, v in baseline.items()]
         curves: dict[tuple[int, int, str], LearningCurves] = {}
         for epochs, loss_text, model in arms:
             if kind == "autoencoder":
                 curves[(run, epochs, loss_text)] = model.curves
-            cell = score(model, train, test, X_test, cfg, run)
+            cell = score(model, train, test, test_X, cfg, run)
             rows.extend(ReportRow(run, epochs, loss_text, k, v) for k, v in cell.items())
         return rows, curves
     except MixedAEError as e:

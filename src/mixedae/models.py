@@ -135,9 +135,8 @@ def build_autoencoder(p: int, dim_z: int, seed: int) -> tuple[Network, Network]:
 
 
 def _arms(cfg, losses, train: EncodedMatrix, weights: LossWeights | None = None) -> tuple:
-    """Per loss, ``cfg`` with that loss; and, if some loss needs weights, the
-    training matrix's table of ``weights`` (by default the encoder's balance
-    weights), selected once per fit, or None."""
+    """Per loss, ``cfg`` with that loss; and, if some loss needs weights, ``weights``
+    (by default the encoder's balance weights), checked once per fit, or None."""
     if not losses:
         raise ConfigError("need at least one loss")
     arms = [dataclasses.replace(cfg, loss=loss) for loss in losses]
@@ -145,20 +144,21 @@ def _arms(cfg, losses, train: EncodedMatrix, weights: LossWeights | None = None)
         return arms, None
     if weights is None:
         weights = compute_balance_weights(train.encoder)
-    return arms, weights.select(train.values)
+    weights.check(train.values)
+    return arms, weights
 
 
-def _epochs(train: EncodedMatrix, cfg, table: np.ndarray | None, epochs: int):
-    """Per epoch, an iterator over its batches as (row indices, rows, weight
-    table rows or None), each gathered when the step asks for it. Rows are
+def _epochs(train: EncodedMatrix, cfg, weights: LossWeights | None, epochs: int):
+    """Per epoch, an iterator over its batches as (row indices, rows, their
+    per-entry weights or None), each made when the step asks for it. Rows are
     reshuffled every epoch from the run seed and the final short batch is
     kept, so training is bit-reproducible given (data, config, seed) and a
     shorter training is a prefix of a longer one's."""
     X, size = train.values, cfg.batch_size
     shuffle = make_rng(derive_seed(cfg.seed, 1))
-    for _ in range(epochs):
+    for _ in range(epochs):  # weights come from each batch's rows, checked whole in _arms
         order = shuffle.permutation(X.shape[0])
-        yield ((idx, X[idx], None if table is None else table[idx])
+        yield ((idx, xb := X[idx], None if weights is None else weights.select(xb, checked=True))
                for idx in (order[start : start + size] for start in range(0, X.shape[0], size)))
 
 
@@ -207,7 +207,7 @@ def train_autoencoder_arms(
         raise ConfigError(f"epochs budgets must be >= 1, got {budgets}")
     X = train.values
     enc = train.encoder
-    arms, table = _arms(cfg, losses, train, weights)
+    arms, weights = _arms(cfg, losses, train, weights)
     groups = enc.categorical_groups()
 
     phi, psi = build_autoencoder(train.width, cfg.dim_z, derive_seed(cfg.seed, 0))
@@ -223,7 +223,7 @@ def train_autoencoder_arms(
     errors: list[dict[int, np.ndarray]] = [{} for _ in arms]
     snapshots: list[dict[int, TrainedAutoencoder]] = [{} for _ in arms]
 
-    for epoch, batches in enumerate(_epochs(train, cfg, table, max(budgets)), 1):
+    for epoch, batches in enumerate(_epochs(train, cfg, weights, max(budgets)), 1):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NonFinite
             for _, xb, wb in batches:
                 trace = forward(net, xb)
@@ -375,8 +375,8 @@ def vae_loss(
     per-row scale stops the KL term from dwarfing it (per-entry means
     collapse the posterior and the latent carries nothing).
 
-    ``weights`` is a :class:`LossWeights` or the batch's rows of a weight
-    table (:meth:`LossWeights.select`). ``out`` receives the x_pred and
+    ``weights`` is a :class:`LossWeights` or the batch's per-entry weights
+    (:meth:`LossWeights.select`). ``out`` receives the x_pred and
     y_pred gradients; its two buffers may be x_pred and y_pred themselves.
     """
     if mu.shape != logvar.shape or x_pred.shape != x_true.shape or y_pred.shape != y_true.shape:
@@ -421,14 +421,14 @@ def train_vae_arms(
         raise ConstantNumeric("target column is constant")
     ys = ((y - y_lo) / (y_hi - y_lo))[:, None]
 
-    arms, table = _arms(cfg, losses, train)
+    arms, weights = _arms(cfg, losses, train)
     base = build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
     nets = VAENets(*(Network.stack([net] * len(arms)) for net in base.all()))
     params, spans = Network.share(nets.all())
     opt = nn.AdamState.like(params)
     noise_rng = make_rng(derive_seed(cfg.seed, 2))
 
-    for epoch, batches in enumerate(_epochs(train, cfg, table, cfg.epochs), 1):
+    for epoch, batches in enumerate(_epochs(train, cfg, weights, cfg.epochs), 1):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NonFinite
             for idx, xb, wb in batches:
                 yb = ys[idx]

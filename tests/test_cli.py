@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedae import experiments, models
+from mixedae import experiments, models, tabular
 from mixedae.cli import DEFAULTS, build_parser, dump_config, load_config, main
 from mixedae.experiments import DataSource, load_report_csv
 from mixedae.models import AutoencoderConfig, TrainedVAE, load_model
@@ -517,6 +517,24 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
         assert "widths [33, 30, 27, 24] must all exceed dim_z=24" in capsys.readouterr().err
 
+    def test_dim_z_above_a_sidecar_width_exits_2_under_dry_run(self, tmp_path, capsys, monkeypatch):
+        assert run_cli("generate", "--n", "300", "--out", str(tmp_path / "g.csv")) == 0
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {tmp_path / 'g.csv'}\nschema_path = {tmp_path / 'g.schema'}\n"
+            "[autoencoder]\ndim_z = 40\n"
+        )
+        capsys.readouterr()
+        monkeypatch.setattr(tabular, "read_csv", lambda *a, **k: pytest.fail("the CSV was read"))
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
+        assert "widths [33, 30, 27, 24] must all exceed dim_z=40" in capsys.readouterr().err
+
+    def test_vae_ce_loss_exits_2_under_dry_run(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nmodel = vae\nlosses = standard,ce\n")
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
+        assert "the VAE supports standard/balanced/blended losses only" in capsys.readouterr().err
+
     def test_dim_z_does_not_bind_the_vae(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text("[data]\nn = 600\n[experiment]\nmodel = vae\n[autoencoder]\ndim_z = 24\n")
@@ -575,6 +593,20 @@ class TestUnusableOutputPath:
         cfg.write_text("[data]\nn = 1200\n[train]\nepochs = 2\n")
         assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "file" / "sub")) == 3
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_below_a_file_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise AssertionError("the data loaded or a model trained")
+
+        for module, name in [(experiments, "load_source"), (models, "train_autoencoder_arms"),
+                             (models, "train_autoencoder"), (models, "train_vae_arms"), (models, "train_vae")]:
+            monkeypatch.setattr(module, name, fail)
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / "file" / "sub" / "deeper"
+        assert run_cli(command, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'file'} exists and is not a directory\n"
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_generate_to_a_directory_is_a_data_error(self, tmp_path, capsys):
         assert run_cli("generate", "--n", "20", "--out", str(tmp_path)) == 3
@@ -655,3 +687,45 @@ def test_report_loads_or_raises_typed_error(tmp_path_factory, content):
         assert all(isinstance(v, str) for r in report.rows for v in (r.loss, r.metric))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run_cli("report", str(path)) == (3 if report is None else 0)
+
+
+experiment_configs = st.fixed_dictionaries({
+    "model": st.sampled_from(["autoencoder", "vae"]),
+    "task": st.sampled_from(["regression", "unsupervised"]),
+    "n": st.integers(1, 1200),
+    "test_fraction": st.floats(0.01, 0.99),
+    "dim_z": st.integers(1, 30),
+    "clusters": st.integers(1, 12) | st.integers(1, 1000),
+    "losses": st.lists(st.sampled_from(["standard", "balanced", "blended:0.3", "ce"]),
+                       min_size=1, max_size=3, unique=True),
+    "epochs": st.lists(st.integers(1, 2), min_size=1, max_size=2),
+    "seed": st.integers(0, 3),
+})
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=experiment_configs)
+def test_experiment_config_never_fails_late_as_a_config_error(tmp_path_factory, c):
+    """Every synthetic experiment config ends in a documented exit code, and
+    one that passes --dry-run is never refused as a config (exit 2) later."""
+    base = tmp_path_factory.mktemp("prop")
+    model_section = "vae" if c["model"] == "vae" else "autoencoder"
+    epochs = ",".join(map(str, c["epochs"]))
+    cfg = base / "exp.ini"
+    cfg.write_text(
+        f"[data]\nn = {c['n']}\n"
+        f"[experiment]\nmodel = {c['model']}\ntask = {c['task']}\nruns = 1\nseed = {c['seed']}\n"
+        f"test_fraction = {c['test_fraction']!r}\nclusters = {c['clusters']}\nlosses = {','.join(c['losses'])}\n"
+        + (f"epochs = {epochs}\n" if c["model"] == "autoencoder" else "")
+        + f"[{model_section}]\ndim_z = {c['dim_z']}\n"
+        + (f"epochs = {c['epochs'][-1]}\n" if c["model"] == "vae" else "")
+        + f"[output]\ndir = {base / 'out'}\n"
+    )
+    codes = []
+    for flags in (["--dry-run"], []):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes.append(run_cli("experiment", "--config", str(cfg), *flags))
+        assert codes[-1] in (0, 2, 3, 4), err.getvalue()
+    assert codes[0] != 0 or codes[1] != 2, err.getvalue()

@@ -284,7 +284,7 @@ class TestMulticlassClasses:
 
         monkeypatch.setattr(experiments, "logistic_fit", fake_fit)
         X = np.zeros((data.n, 1))
-        experiments._downstream_metrics("multiclass", X, data.y, X, data.y, "recon")
+        experiments._downstream_metrics("multiclass", X, data.y, lambda: X, data.y, "recon")
         assert len(fitted) == 22
 
     def test_accuracy_unchanged_from_one_fit_per_distinct_value(self):
@@ -294,7 +294,7 @@ class TestMulticlassClasses:
         X_train, X_test = rng.random((60, 4)), rng.random((40, 4))
         levels = np.array([0.0, 0.4, 1.0, 1.7, 2.2, 2.9])
         y_train, y_test = levels[rng.integers(0, 6, 60)], levels[rng.integers(0, 6, 40)]
-        got = experiments._downstream_metrics("multiclass", X_train, y_train, X_test, y_test, "r")
+        got = experiments._downstream_metrics("multiclass", X_train, y_train, lambda: X_test, y_test, "r")
         old_classes = np.unique(np.concatenate([y_train, y_test])).astype(int)
         assert len(old_classes) == 6
         scores = np.column_stack([
@@ -303,6 +303,35 @@ class TestMulticlassClasses:
         ])
         pred = old_classes[scores.argmax(axis=1)]
         assert got == {"acc_r": float(np.mean(pred == y_test.astype(int)))}
+
+
+class TestProxyMemory:
+    @pytest.mark.parametrize(
+        "task, fit, fits", [("regression", "ridge_fit", 1), ("binary", "logistic_fit", 1), ("multiclass", "logistic_fit", 3)]
+    )
+    def test_test_features_made_after_every_fit_returned(self, monkeypatch, task, fit, fits):
+        # so a fit's copies (ridge's centred matrix) are freed before the test side exists
+        real = getattr(experiments, fit)
+        calls = {"started": 0, "returned": 0}
+
+        def tracked(*args, **kwargs):
+            calls["started"] += 1
+            model = real(*args, **kwargs)
+            calls["returned"] += 1
+            return model
+
+        monkeypatch.setattr(experiments, fit, tracked)
+        rng = make_rng(8)
+        X_train, X_test = rng.random((60, 4)), rng.random((40, 4))
+        y = rng.random(100) if task == "regression" else rng.integers(0, max(fits, 2), 100).astype(float)
+        made = []
+
+        def features():
+            made.append(dict(calls))
+            return X_test
+
+        experiments._downstream_metrics(task, X_train, y[:60], features, y[60:], "r")
+        assert made == [{"started": fits, "returned": fits}]
 
 
 class TestVaeExperiment:

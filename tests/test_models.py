@@ -216,6 +216,40 @@ class TestLockstepArms:
         with pytest.raises(errors.NonBinaryTarget):
             models.train_vae_arms(X, train.y, VAEConfig(), ("standard", "blended:0.3"))
 
+    def test_zero_one_check_runs_once_per_fit(self, synthetic_split, monkeypatch):
+        train, _, enc = synthetic_split
+        X = encode(train, enc)
+        checked = []
+        real = LossWeights.check
+
+        def counting(self, target):
+            checked.append(target.shape)
+            real(self, target)
+
+        monkeypatch.setattr(LossWeights, "check", counting)
+        cfg = AutoencoderConfig(batch_size=64, seed=1)
+        models.train_autoencoder_arms(X, cfg, ("standard", "balanced", "blended:0.3"), (2, 3))
+        models.train_vae_arms(X, train.y, VAEConfig(epochs=2, batch_size=100, seed=1), ("balanced", "standard"))
+        assert checked == [X.values.shape] * 2  # once per fit on the whole matrix, never per batch
+        checked.clear()
+        models.train_autoencoder_arms(X, cfg, ("standard", "ce"), (2,))
+        assert checked == []
+
+    def test_weighted_fit_holds_no_weight_table(self):
+        import tracemalloc
+
+        data = generate_synthetic("imbalanced", 12000, seed=4)
+        X = encode(data, fit_encoder(data))
+        tracemalloc.start()
+        try:
+            models.train_vae_arms(X, data.y, VAEConfig(epochs=1, seed=3), ("standard", "balanced"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each batch takes its weights from its own 256 rows (0.52 x here, mostly
+        # the 0/1 check's boolean masks); a table of the whole matrix adds 1 x
+        assert peak < X.values.nbytes
+
     def test_no_arms_rejected(self, synthetic_split):
         train, _, enc = synthetic_split
         X = encode(train, enc)
