@@ -28,7 +28,7 @@ from . import metrics, models, tabular
 from .errors import ConfigError, DataError, FractionOutOfRange, InvalidContext, MixedAEError
 from .models import AutoencoderConfig, LearningCurves, VAEConfig, parse_loss
 from .rng import derive_seed, make_rng
-from .tabular import Dataset, EncodedMatrix, encode, fit_encoder, split
+from .tabular import Dataset, EncodedMatrix, encode, encode_values, fit_encoder, split
 
 TASKS = ("regression", "binary", "multiclass", "unsupervised")
 
@@ -55,17 +55,21 @@ class RidgeModel:
 
 
 def ridge_fit(X: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
-    """Closed-form ridge with an unregularized intercept."""
-    X = np.asarray(X, dtype=np.float64)
+    """Closed-form ridge with an unregularized intercept; ``X`` is left as it is."""
+    return _ridge_in_place(np.array(X, dtype=np.float64), y, lam)
+
+
+def _ridge_in_place(X: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
+    """:func:`ridge_fit` on a float64 matrix, which it centres in place."""
     y = np.asarray(y, dtype=np.float64)
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
-    Xc = X - x_mean
+    X -= x_mean
     yc = y - y_mean
     if lam > 0.0:
-        coef = np.linalg.solve(Xc.T @ Xc + lam * np.eye(X.shape[1]), Xc.T @ yc)
+        coef = np.linalg.solve(X.T @ X + lam * np.eye(X.shape[1]), X.T @ yc)
     else:
-        coef = np.linalg.lstsq(Xc, yc, rcond=None)[0]
+        coef = np.linalg.lstsq(X, yc, rcond=None)[0]
     return RidgeModel(coef, float(y_mean - x_mean @ coef))
 
 
@@ -333,22 +337,23 @@ def load_source(source: DataSource, seed: int) -> Dataset:
 
 def _downstream_metrics(
     task: str,
-    X_train: np.ndarray,
+    train_features: Callable[[], np.ndarray],
     y_train: np.ndarray | None,
     test_features: Callable[[], np.ndarray],
     y_test: np.ndarray | None,
     suffix: str,
 ) -> dict[str, float]:
-    """Fit the task proxy on (X_train, y_train), then score it on ``test_features()``."""
+    """Fit the task proxy on (``train_features()``, y_train), then score it on ``test_features()``.
+    Each call makes a new matrix, which ridge centres in place; the train one is gone first."""
     out: dict[str, float] = {}
     if task == "regression":
-        model = ridge_fit(X_train, y_train, RIDGE_LAMBDA)
+        model = _ridge_in_place(train_features(), y_train, RIDGE_LAMBDA)
         err = metrics.prediction_error(y_test, model.predict(test_features()))
         out[f"y_mse_{suffix}"] = err.mse
         out[f"y_mae_{suffix}"] = err.mae
         out[f"y_rmse_{suffix}"] = err.rmse
     elif task == "binary":
-        model = logistic_fit(X_train, (y_train > 0.5).astype(float))
+        model = logistic_fit(train_features(), (y_train > 0.5).astype(float))
         scores = model.predict_proba(test_features())
         truth = y_test > 0.5
         cls = metrics.classification_scores(truth, scores >= 0.5)
@@ -358,7 +363,9 @@ def _downstream_metrics(
         out[f"auc_{suffix}"] = metrics.rank_auc(truth, scores)
     elif task == "multiclass":
         classes = np.unique(np.concatenate([y_train, y_test]).astype(int))
+        X_train = train_features()
         fits = [logistic_fit(X_train, (y_train.astype(int) == c).astype(float)) for c in classes]
+        del X_train
         X_test = test_features()
         scores = np.column_stack([fit.predict_proba(X_test) for fit in fits])
         pred = classes[scores.argmax(axis=1)]
@@ -392,10 +399,9 @@ def _score_autoencoder(
     recon_test = models.reconstruct(model, test)
     cell = {"msem": metrics.msem(test, recon_test, enc), "mc": metrics.mc_distance(test, recon_test)}
     if _needs_target(cfg.task):
-        recon_train = encode(models.reconstruct(model, train), enc).values
+        recon_train = lambda: encode_values(models.reconstruct(model, train), enc)
         cell.update(_downstream_metrics(cfg.task, recon_train, train.y, test_X, test.y, "recon"))
-        del recon_train
-        z_train, z_test = models.latent(model, train), lambda: models.latent(model, test)
+        z_train, z_test = partial(models.latent, model, train), partial(models.latent, model, test)
         cell.update(_downstream_metrics(cfg.task, z_train, train.y, z_test, test.y, "latent"))
     if cfg.task == "unsupervised":
         cell["silhouette"] = _silhouette(models.latent(model, train), cfg, run)
@@ -424,7 +430,7 @@ def _score_vae(
             gen_y = (gen_y > 0.5).astype(float)
         elif cfg.task == "multiclass":
             gen_y = np.clip(np.round(gen_y), 0, int(train.y.max()))
-        gen_X = encode(generated, enc).values
+        gen_X = partial(encode_values, generated, enc)
         cell.update(_downstream_metrics(cfg.task, gen_X, gen_y, test_X, test.y, "gen"))
     return cell
 
@@ -445,15 +451,14 @@ def _run_once(kind: str, data: Dataset, cfg: ExperimentConfig, run: int) -> tupl
         if cfg.task == "unsupervised" and kind == "autoencoder" and cfg.clusters > train.n:
             raise ConfigError(f"clusters = {cfg.clusters} exceeds the {train.n} rows of the train split")
         enc = fit_encoder(train)
-        X_train = encode(train, enc)
         # Training first lets the proxies reuse the memory its steps freed.
-        arms = train_arms(X_train, train, cfg, run)
+        arms = train_arms(encode(train, enc), train, cfg, run)
 
-        test_X = lambda: encode(test, enc).values  # made after each proxy fit, as no fit reads it
-        baseline = _downstream_metrics(cfg.task, X_train.values, train.y, test_X, test.y, suffix)
+        # each proxy makes its own matrices, in turn (see _downstream_metrics)
+        train_X, test_X = partial(encode_values, train, enc), partial(encode_values, test, enc)
+        baseline = _downstream_metrics(cfg.task, train_X, train.y, test_X, test.y, suffix)
         if cfg.task == "unsupervised" and kind == "autoencoder":
-            baseline["silhouette"] = _silhouette(X_train.values, cfg, run)
-        del X_train
+            baseline["silhouette"] = _silhouette(train_X(), cfg, run)
         rows = [ReportRow(run, 0, BASELINE, k, v) for k, v in baseline.items()]
         curves: dict[tuple[int, int, str], LearningCurves] = {}
         for epochs, loss_text, model in arms:

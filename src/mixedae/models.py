@@ -27,9 +27,9 @@ import numpy as np
 from . import nn, tabular
 from .errors import ConfigError, ConstantNumeric, DataError, DegenerateWidth, NonFinite, ShapeError
 from .losses import LossWeights, _select, _weighted_mse, compute_balance_weights, cross_entropy_loss
-from .nn import Network, adam_step, backward, forward
+from .nn import Network, adam_step, backward, forward, forward_output
 from .rng import derive_seed, gaussian, make_rng
-from .tabular import Dataset, EncodedMatrix, EncoderState, encode, decode
+from .tabular import Dataset, EncodedMatrix, EncoderState, decode, encode_values
 
 # Reachable band for [0, 1] targets under a final Tanh.
 OUT_LOW = 0.05
@@ -246,7 +246,7 @@ def train_autoencoder_arms(
             for i, arm in enumerate(arms):
                 phi_i, psi_i = halves(i)
                 scores = _scores_from_output(
-                    forward(psi_i, forward(phi_i, X).output).output, arm.loss, groups
+                    forward_output(psi_i, forward_output(phi_i, X)), arm.loss, groups
                 )
                 errors[i][epoch] = np.mean((scores - X) ** 2, axis=0)
         if epoch in checkpoints:
@@ -273,16 +273,15 @@ def _decode_like(scores: np.ndarray, state: EncoderState, data: Dataset) -> Data
 
 def reconstruct(model: TrainedAutoencoder, data: Dataset) -> Dataset:
     """Encode, push through the autoencoder, hard-decode; the target is carried."""
-    m = encode(data, model.state)
-    out = forward(model.decoder_net, forward(model.encoder_net, m.values).output).output
+    z = forward_output(model.encoder_net, encode_values(data, model.state))
+    out = forward_output(model.decoder_net, z)
     scores = _scores_from_output(out, model.config.loss, model.state.categorical_groups())
     return _decode_like(scores, model.state, data)
 
 
 def latent(model: TrainedAutoencoder, data: Dataset) -> np.ndarray:
     """n x dim_z bottleneck representation; entries in (-1, 1)."""
-    m = encode(data, model.state)
-    return forward(model.encoder_net, m.values).output
+    return forward_output(model.encoder_net, encode_values(data, model.state))
 
 
 # ----------------------------------------------------------------------
@@ -477,11 +476,10 @@ def train_vae_arms(
 def vae_reconstruct(model: TrainedVAE, data: Dataset) -> Dataset:
     """Deterministic reconstruction through the mean latent (z = mu),
     hard-decoded; the target is carried."""
-    m = encode(data, model.state)
-    h1 = forward(model.nets.hl1, m.values).output
-    mu = forward(model.nets.hl21, h1).output
-    h3 = forward(model.nets.hl3, mu).output
-    return _decode_like(forward(model.nets.hl41, h3).output, model.state, data)
+    h1 = forward_output(model.nets.hl1, encode_values(data, model.state))
+    mu = forward_output(model.nets.hl21, h1)
+    h3 = forward_output(model.nets.hl3, mu)
+    return _decode_like(forward_output(model.nets.hl41, h3), model.state, data)
 
 
 def vae_generate(model: TrainedVAE, count: int, seed: int) -> Dataset:
@@ -498,9 +496,9 @@ def vae_generate(model: TrainedVAE, count: int, seed: int) -> Dataset:
         raise ConfigError("count must be >= 1")
     rng = make_rng(seed)
     z = gaussian(rng, (count, model.config.dim_z))
-    h3 = forward(model.nets.hl3, z).output
-    x_scores = forward(model.nets.hl41, h3).output
-    y_scaled = forward(model.nets.hl42, h3).output[:, 0]
+    h3 = forward_output(model.nets.hl3, z)
+    x_scores = forward_output(model.nets.hl41, h3)
+    y_scaled = forward_output(model.nets.hl42, h3)[:, 0]
     enc = model.state
     cols = dict(decode(EncodedMatrix(x_scores, enc), enc).columns)
     for name, g in zip(enc.schema.categorical_names(), enc.categorical_groups()):
@@ -542,6 +540,8 @@ def load_model(path: str | Path) -> TrainedAutoencoder | TrainedVAE:
         if {"autoencoder": 2, "vae": 6}.get(kind) != len(nets):
             raise ValueError(f"kind {kind!r} with {len(nets)} networks")
         state = tabular.encoder_from_dict(header["encoder_state"])
+        if header["schema_hash"] != tabular.schema_hash(state.schema):
+            raise ValueError("schema_hash does not match the encoder state's schema")
         cfg = (VAEConfig if kind == "vae" else AutoencoderConfig)(**header["config"])
         if kind == "autoencoder":
             return TrainedAutoencoder(nets[0], nets[1], state, cfg, curves=None)

@@ -146,21 +146,31 @@ def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
     return Network(layers)
 
 
-def forward(net: Network, batch: np.ndarray) -> Trace:
-    """B x in batch, or M x B x in (one per arm) for a stacked network. W is
-    read as a transposed view, so BLAS runs each arm's plain-network kernel."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim < 2 or batch.shape[:-2] not in ((), net.params.shape[:-1]) \
-            or batch.shape[-1] != net.in_width:
-        raise ShapeError(f"expected B x {net.in_width} batch, got {batch.shape}")
-    activations = [batch]
+def _activations(net: Network, batch: np.ndarray):
+    """The B x in batch (M x B x in for a stacked network), then each layer's activation.
+    W is read as a transposed view, so BLAS runs each arm's plain-network kernel."""
+    a = np.asarray(batch, dtype=np.float64)
+    if a.ndim < 2 or a.shape[:-2] not in ((), net.params.shape[:-1]) or a.shape[-1] != net.in_width:
+        raise ShapeError(f"expected B x {net.in_width} batch, got {a.shape}")
+    yield a
     for layer in net.layers:
-        a = np.matmul(activations[-1], np.swapaxes(layer.W, -1, -2))
+        a = np.matmul(a, np.swapaxes(layer.W, -1, -2))
         a += layer.b[..., None, :]
         if layer.activation == TANH:
             np.tanh(a, out=a)
-        activations.append(a)
-    return Trace(activations)
+        yield a
+
+
+def forward(net: Network, batch: np.ndarray) -> Trace:
+    """Every activation, for :func:`backward`."""
+    return Trace(list(_activations(net, batch)))
+
+
+def forward_output(net: Network, batch: np.ndarray) -> np.ndarray:
+    """``forward(net, batch).output``, holding no more than two activations at once."""
+    for a in _activations(net, batch):
+        pass
+    return a
 
 
 def backward(net: Network, trace: Trace, d_output: np.ndarray, need_input: bool = True,

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +248,11 @@ def fit_encoder(train: Dataset) -> EncoderState:
 
 def encode(data: Dataset, enc: EncoderState) -> EncodedMatrix:
     """Min-max scale numerics (clipped to [0, 1]) and one-hot categoricals."""
+    return EncodedMatrix(encode_values(data, enc), enc)
+
+
+def encode_values(data: Dataset, enc: EncoderState) -> np.ndarray:
+    """:func:`encode`'s matrix as a new writable array, which its caller may overwrite."""
     if data.schema != enc.schema:
         raise SchemaMismatch("dataset schema differs from encoder schema")
     out = np.zeros((data.n, enc.width))
@@ -255,7 +263,7 @@ def encode(data: Dataset, enc: EncoderState) -> EncodedMatrix:
         else:
             lo, hi = enc.numeric_range[c.name]
             out[:, span.start] = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
-    return EncodedMatrix(out, enc)
+    return out
 
 
 def decode(m: EncodedMatrix, enc: EncoderState) -> Dataset:
@@ -287,6 +295,14 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
+def _coerce_number(cell: str) -> float:
+    """``float(cell)``; a ValueError also for a cell that is not finite."""
+    v = float(cell)
+    if not math.isfinite(v):
+        raise ValueError(cell)
+    return v
+
+
 def read_csv(
     path: str | Path,
     schema: Schema | None = None,
@@ -300,74 +316,62 @@ def read_csv(
     first-appearance order. ``target`` names a numeric column returned as
     ``Dataset.y`` instead of a feature. A file with no column besides the
     target raises :class:`DataError`.
+
+    Each cell becomes its value as its row is read (inference reads the file
+    once before, to find the numeric columns); of several faults, the first read is raised.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            table = list(csv.reader(fh))
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            last = {name: k for k, name in enumerate(header)}  # a repeated target: its last column
+            if target is not None and target not in last:
+                raise DataError(f"{path}: target column {target!r} not found")
+            features = [k for k, name in enumerate(header) if name != target]
+            names = [header[k] for k in features]
+            if schema is None:
+                numeric = range(len(header))  # the columns whose every cell so far is a number
+                for row in rows:
+                    if len(row) == len(header):  # a ragged row is raised below
+                        numeric = [k for k in numeric if _parse_float(row[k]) is not None]
+                fh.seek(0)
+                next(rows := csv.reader(fh))
+                # category -> code, an unseen category taking the next: first-appearance order
+                codes = [None if k in numeric else defaultdict(count().__next__) for k in features]
+            elif list(schema.names) != names:
+                raise SchemaMismatch(f"{path}: header {names} does not match schema {list(schema.names)}")
+            else:
+                codes = [c.categories and {cat: i for i, cat in enumerate(c.categories)}
+                         for c in schema.columns]
+            columns = [array("d" if index is None else "q") for index in codes]
+            y = None if target is None else array("d")
+            plan = [] if y is None else [(last[target], _coerce_number, y)]  # (column, convert, values)
+            plan += [(k, _coerce_number if index is None else index.__getitem__, values)
+                     for k, index, values in zip(features, codes, columns)]
+            for row_no, row in enumerate(rows, 2):
+                if len(row) != len(header):
+                    raise ShapeError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+                if "" in row:
+                    raise MissingValue(f"{path}: empty cell in column {header[row.index('')]!r}, "
+                                       f"row {row_no}")
+                try:
+                    for k, convert, values in plan:
+                        values.append(convert(row[k]))
+                except KeyError:
+                    raise UnknownCategory(f"{path}: value {row[k]!r} "
+                                          f"not a category of {header[k]!r}") from None
+                except ValueError:
+                    raise DataError(f"column {header[k]!r}, row {row_no}: "
+                                    f"cell {row[k]!r} is not a finite number") from None
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"cannot read CSV {path}: {e}") from e
-    if not table:
-        raise DataError(f"{path}: empty file")
-    header, *rows = table
-    width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ShapeError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
-        for name, cell in zip(header, row):
-            if cell == "":
-                raise MissingValue(f"{path}: empty cell in column {name!r}, row {i + 2}")
-
-    raw = {name: [row[k] for row in rows] for k, name in enumerate(header)}
-    y = None
-    if target is not None:
-        if target not in raw:
-            raise DataError(f"{path}: target column {target!r} not found")
-        y_cells = raw.pop(target)
-        y = np.array([_coerce_number(c, target, i + 2) for i, c in enumerate(y_cells)])
-        header = [h for h in header if h != target]
-
     if schema is None:
-        schema = _infer_schema(header, raw)
-    else:
-        if list(schema.names) != header:
-            raise SchemaMismatch(
-                f"{path}: header {header} does not match schema {list(schema.names)}"
-            )
-
-    cols: dict[str, np.ndarray] = {}
-    for c in schema.columns:
-        cells = raw[c.name]
-        if c.is_categorical:
-            index = {cat: k for k, cat in enumerate(c.categories)}
-            codes = np.empty(len(cells), dtype=np.int64)
-            for i, cell in enumerate(cells):
-                if cell not in index:
-                    raise UnknownCategory(
-                        f"{path}: value {cell!r} not a category of {c.name!r}"
-                    )
-                codes[i] = index[cell]
-            cols[c.name] = codes
-        else:
-            cols[c.name] = np.array(
-                [_coerce_number(cell, c.name, i + 2) for i, cell in enumerate(cells)]
-            )
-    return Dataset(schema, cols, y=y, target_name=target or "y")
-
-
-def _coerce_number(cell: str, name: str, row: int) -> float:
-    v = _parse_float(cell)
-    if v is None or not math.isfinite(v):
-        raise DataError(f"column {name!r}, row {row}: cell {cell!r} is not a finite number")
-    return v
-
-
-def _infer_schema(header: list[str], raw: dict[str, list[str]]) -> Schema:
-    cols = []
-    for name in header:
-        numeric = all(_parse_float(c) is not None for c in raw[name])
-        # categories in first-appearance order
-        cols.append(Column(name, None if numeric else tuple(dict.fromkeys(raw[name]))))
-    return Schema(tuple(cols))
+        schema = Schema(tuple(Column(name, None if index is None else tuple(index))
+                              for name, index in zip(names, codes)))
+    # Dataset takes each array's buffer as it is, without a copy
+    return Dataset(schema, dict(zip(names, columns)), y=y, target_name=target or "y")
 
 
 def write_csv(data: Dataset, path: str | Path) -> None:

@@ -600,3 +600,79 @@ def scalar_balance_weights(enc):
         w0[j] = n / (2.0 * p_q * (n - n_kq))
         is_cat[j] = True
     return w1, w0, is_cat
+
+
+# ----------------------------------------------------------------------
+# The CSV reader that holds the whole file as strings
+# ----------------------------------------------------------------------
+# ``tabular.read_csv`` before it streamed: every row kept as a list of
+# cells, a copy of the table by column, then inference and conversion one
+# column at a time.
+
+def list_read_csv(path, schema=None, *, target=None):
+    import csv
+    import math
+
+    from mixedae.errors import DataError, MissingValue, SchemaMismatch, ShapeError, UnknownCategory
+    from mixedae.tabular import Column, Dataset, Schema
+
+    def parse_float(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    def coerce_number(cell, name, row):
+        v = parse_float(cell)
+        if v is None or not math.isfinite(v):
+            raise DataError(f"column {name!r}, row {row}: cell {cell!r} is not a finite number")
+        return v
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"cannot read CSV {path}: {e}") from e
+    if not table:
+        raise DataError(f"{path}: empty file")
+    header, *rows = table
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ShapeError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
+        for name, cell in zip(header, row):
+            if cell == "":
+                raise MissingValue(f"{path}: empty cell in column {name!r}, row {i + 2}")
+
+    raw = {name: [row[k] for row in rows] for k, name in enumerate(header)}
+    y = None
+    if target is not None:
+        if target not in raw:
+            raise DataError(f"{path}: target column {target!r} not found")
+        y_cells = raw.pop(target)
+        y = np.array([coerce_number(c, target, i + 2) for i, c in enumerate(y_cells)])
+        header = [h for h in header if h != target]
+
+    if schema is None:
+        cols = []
+        for name in header:
+            numeric = all(parse_float(c) is not None for c in raw[name])
+            cols.append(Column(name, None if numeric else tuple(dict.fromkeys(raw[name]))))
+        schema = Schema(tuple(cols))
+    elif list(schema.names) != header:
+        raise SchemaMismatch(f"{path}: header {header} does not match schema {list(schema.names)}")
+
+    out = {}
+    for c in schema.columns:
+        cells = raw[c.name]
+        if c.is_categorical:
+            index = {cat: k for k, cat in enumerate(c.categories)}
+            codes = np.empty(len(cells), dtype=np.int64)
+            for i, cell in enumerate(cells):
+                if cell not in index:
+                    raise UnknownCategory(f"{path}: value {cell!r} not a category of {c.name!r}")
+                codes[i] = index[cell]
+            out[c.name] = codes
+        else:
+            out[c.name] = np.array([coerce_number(cell, c.name, i + 2) for i, cell in enumerate(cells)])
+    return Dataset(schema, out, y=y, target_name=target or "y")

@@ -1,5 +1,7 @@
 """Proxy predictor, k-means, and experiment-harness tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,7 +286,7 @@ class TestMulticlassClasses:
 
         monkeypatch.setattr(experiments, "logistic_fit", fake_fit)
         X = np.zeros((data.n, 1))
-        experiments._downstream_metrics("multiclass", X, data.y, lambda: X, data.y, "recon")
+        experiments._downstream_metrics("multiclass", lambda: X, data.y, lambda: X, data.y, "recon")
         assert len(fitted) == 22
 
     def test_accuracy_unchanged_from_one_fit_per_distinct_value(self):
@@ -294,7 +296,7 @@ class TestMulticlassClasses:
         X_train, X_test = rng.random((60, 4)), rng.random((40, 4))
         levels = np.array([0.0, 0.4, 1.0, 1.7, 2.2, 2.9])
         y_train, y_test = levels[rng.integers(0, 6, 60)], levels[rng.integers(0, 6, 40)]
-        got = experiments._downstream_metrics("multiclass", X_train, y_train, lambda: X_test, y_test, "r")
+        got = experiments._downstream_metrics("multiclass", lambda: X_train, y_train, lambda: X_test, y_test, "r")
         old_classes = np.unique(np.concatenate([y_train, y_test])).astype(int)
         assert len(old_classes) == 6
         scores = np.column_stack([
@@ -307,7 +309,7 @@ class TestMulticlassClasses:
 
 class TestProxyMemory:
     @pytest.mark.parametrize(
-        "task, fit, fits", [("regression", "ridge_fit", 1), ("binary", "logistic_fit", 1), ("multiclass", "logistic_fit", 3)]
+        "task, fit, fits", [("regression", "_ridge_in_place", 1), ("binary", "logistic_fit", 1), ("multiclass", "logistic_fit", 3)]
     )
     def test_test_features_made_after_every_fit_returned(self, monkeypatch, task, fit, fits):
         # so a fit's copies (ridge's centred matrix) are freed before the test side exists
@@ -330,8 +332,31 @@ class TestProxyMemory:
             made.append(dict(calls))
             return X_test
 
-        experiments._downstream_metrics(task, X_train, y[:60], features, y[60:], "r")
+        experiments._downstream_metrics(task, lambda: X_train, y[:60], features, y[60:], "r")
         assert made == [{"started": fits, "returned": fits}]
+
+    def test_ridge_proxy_centres_its_own_matrix_in_place(self):
+        rng = make_rng(9)
+        y = rng.random(3000)
+        tracemalloc.start()
+        try:
+            experiments._downstream_metrics("regression", lambda: rng.random((1800, 294)), y[:1800],
+                                            lambda: rng.random((1200, 294)), y[1800:], "r")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix, its 294 x 294 Gram matrix and solve's copy of it (1.33 x);
+        # a centred copy beside the matrix would make it 2 x and more
+        assert peak < 1.5 * 1800 * 294 * 8
+
+    def test_ridge_fit_leaves_its_argument_as_it_is(self):
+        rng = make_rng(10)
+        X, y = rng.random((50, 6)), rng.random(50)
+        before = X.tobytes()
+        model = ridge_fit(X, y, 1e-4)
+        assert X.flags.writeable and X.tobytes() == before
+        same = experiments._ridge_in_place(X.copy(), y, 1e-4)  # the proxies' kernel, on a copy
+        assert model.coef.tobytes() == same.coef.tobytes() and model.intercept == same.intercept
 
 
 class TestVaeExperiment:

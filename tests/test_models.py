@@ -250,6 +250,22 @@ class TestLockstepArms:
         # the 0/1 check's boolean masks); a table of the whole matrix adds 1 x
         assert peak < X.values.nbytes
 
+    def test_checkpoint_scores_hold_one_activation_at_a_time(self):
+        import tracemalloc
+
+        data = generate_synthetic("imbalanced", 12000, seed=4)
+        X = encode(data, fit_encoder(data))
+        tracemalloc.start()
+        try:
+            models.train_autoencoder_arms(X, AutoencoderConfig(seed=3), ("standard", "balanced"), (1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # scoring an arm on the whole matrix holds its output, its scores and
+        # their squared error (3.5 x here); a whole trace of each half held
+        # every activation as well (5.1 x)
+        assert peak < 4 * X.values.nbytes
+
     def test_no_arms_rejected(self, synthetic_split):
         train, _, enc = synthetic_split
         X = encode(train, enc)
@@ -445,6 +461,17 @@ class TestSaveLoad:
         header = {k: v for k, v in header.items() if v is not None}
         nn.write_networks(path, nets, header)
         with pytest.raises(errors.DataError, match="malformed checkpoint header"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "vae"])
+    def test_header_schema_must_match_its_hash(self, autoencoder, vae, tmp_path, kind):
+        path = tmp_path / "model.ckpt"
+        save_model(autoencoder if kind == "autoencoder" else vae, path)
+        nets, header = nn.read_networks(path)
+        column = next(c for c in header["encoder_state"]["schema"] if c["categories"])
+        column["categories"][0] += "_renamed"  # still a valid encoder state, with another schema
+        nn.write_networks(path, nets, header)
+        with pytest.raises(errors.DataError, match="malformed checkpoint header.*schema_hash"):
             load_model(path)
 
     @pytest.mark.parametrize("drop", ["y_range", "encoder_state", "config"])

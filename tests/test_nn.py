@@ -106,6 +106,16 @@ class TestForward:
         nn.forward(net, np.ones((2, 3)))
         assert all(np.array_equal(a, l.W) for a, l in zip(before, net.layers))
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_output_only_pass_equals_the_trace_output(self, stacked):
+        nets = arm_nets(dims=(6, 5, 4, 3))
+        net = nn.Network.stack(nets) if stacked else nets[0]
+        x = make_rng(4).random((3, 7, 6) if stacked else (7, 6))
+        got, want = nn.forward_output(net, x), nn.forward(net, x).output
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        with pytest.raises(ShapeError):
+            nn.forward_output(net, np.ones((4, 7)))
+
 
 class TestBackward:
     def test_zero_output_gradient(self):

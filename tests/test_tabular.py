@@ -1,5 +1,9 @@
 """Schema, CSV, encoding and synthetic-data tests."""
 
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -481,3 +485,144 @@ def test_load_schema_sidecar_loads_or_raises_typed_error(tmp_path_factory, conte
         return
     assert all(isinstance(c, Column) for c in schema.columns)
     assert target is None or isinstance(target, str)
+
+
+def read_both(path, schema, target):
+    """(outcome of read_csv, outcome of the list-based oracle): a Dataset or the error raised."""
+    out = []
+    for read in (read_csv, oracles.list_read_csv):
+        try:
+            out.append(read(path, schema, target=target))
+        except errors.MixedAEError as e:
+            out.append(e)
+    return out
+
+
+def same_read(a, b):
+    """Equal schema, target name, and columns and ``y`` bit for bit."""
+    return (a.schema == b.schema and a.target_name == b.target_name
+            and all(same_bits(a.column(n), b.column(n)) for n in a.schema.names)
+            and (a.y is None and b.y is None or a.y is not None and b.y is not None and same_bits(a.y, b.y)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    content=st.one_of(st.binary(max_size=64), st.text(max_size=64), csv_texts),
+    target=st.sampled_from([None, "y", "1"]),
+    with_schema=st.booleans(),
+)
+@example(content="a,y,y\n1,x,2\n2,y,3", target="y", with_schema=False)  # a repeated target: its last column
+def test_streaming_reader_matches_the_list_reader(tmp_path_factory, content, target, with_schema):
+    """Any file loads into the same bits with both readers, or both raise."""
+    path = tmp_path_factory.getbasetemp() / "both.csv"
+    path.write_bytes(content.encode("utf-8", "surrogatepass") if isinstance(content, str) else content)
+    got, want = read_both(path, small_schema() if with_schema else None, target)
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset) and same_read(got, want)
+    else:
+        assert isinstance(got, errors.MixedAEError)
+
+
+FAULTS = ("none", "ragged", "empty-cell", "non-finite", "target-text", "unknown-category",
+          "header", "no-target", "one-category", "only-target", "non-utf8", "empty-file")
+
+
+@st.composite
+def one_fault_files(draw):
+    """A valid CSV over 1-5 numeric or categorical columns (and maybe a target),
+    its schema or None, the target name, and at most one fault put into it."""
+    fault = draw(st.sampled_from(FAULTS))
+    with_schema = fault in ("unknown-category", "header") or fault != "one-category" and draw(st.booleans())
+    with_target = draw(st.booleans()) or fault in ("target-text", "only-target")
+    n = draw(st.integers(4, 8))
+    kinds = draw(st.lists(st.one_of(st.none(), st.integers(2, 4)), min_size=1, max_size=5))
+    if fault == "only-target":
+        kinds = []
+    numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cells, columns = [], []
+    for i, k in enumerate(kinds):
+        if k is None:
+            cells.append(draw(st.lists(numbers, min_size=n, max_size=n)))
+            columns.append(Column(f"v{i}"))
+        else:  # every category appears, in a drawn order
+            extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+            codes = draw(st.permutations(list(range(k)) + extra))
+            cells.append([f"c{i}.{c}" for c in codes])
+            columns.append(Column(f"v{i}", tuple(f"c{i}.{c}" for c in range(k))))
+    header = [c.name for c in columns]
+    is_number = [k is None for k in kinds]
+    if with_target:
+        at = draw(st.integers(0, len(header)))
+        header.insert(at, "y")
+        is_number.insert(at, True)
+        cells.insert(at, draw(st.lists(numbers, min_size=n, max_size=n)))
+    table = [header] + [list(r) for r in zip(*cells)]
+    schema = Schema(tuple(columns)) if with_schema and columns else None
+    target = "y" if with_target else None
+    r = draw(st.integers(1, n))
+    col = draw(st.integers(0, len(header) - 1))
+    numeric = [k for k, number in enumerate(is_number) if number]
+    categorical = [k for k, number in enumerate(is_number) if not number]
+    if fault == "ragged":
+        table[r] = table[r][:-1] if draw(st.booleans()) else table[r] + ["1"]
+    elif fault == "empty-cell":
+        table[r][col] = ""
+    elif fault == "non-finite" and numeric:
+        table[r][draw(st.sampled_from(numeric))] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+    elif fault == "target-text":
+        table[r][header.index("y")] = "text"
+    elif fault == "unknown-category" and categorical:
+        table[r][draw(st.sampled_from(categorical))] = "unseen"
+    elif fault == "header":
+        table[0][col] = "renamed"
+    elif fault == "no-target":
+        target = "absent"
+    elif fault == "one-category" and categorical:
+        k = draw(st.sampled_from(categorical))
+        for row in table[1:]:
+            row[k] = "same"
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(table)
+    content = buffer.getvalue().encode()
+    if fault == "non-utf8":
+        content = content[:-2] + b"\xff" + content[-2:]
+    elif fault == "empty-file":
+        content = b""
+    return content, schema, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_fault_files())
+def test_one_fault_raises_the_same_error_in_both_readers(tmp_path_factory, case):
+    content, schema, target = case
+    path = tmp_path_factory.getbasetemp() / "one_fault.csv"
+    path.write_bytes(content)
+    got, want = read_both(path, schema, target)
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset) and same_read(got, want)
+    else:
+        assert type(got) is type(want) and str(got) == str(want)
+
+
+def test_read_csv_holds_no_table_of_strings(tmp_path):
+    """A 3000-row file of 6 numeric, 14 categorical and a target column: the
+    traced peak stays under 4 x the columns returned (11.1 x with a list of rows)."""
+    rng = np.random.default_rng(5)
+    cards = (3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 30, 40, 50, 60)
+    columns = [Column(f"N{i}") for i in range(6)] + [
+        Column(f"C{i}", tuple(f"C{i}_{c:02d}" for c in range(k))) for i, k in enumerate(cards)]
+    cells = [[repr(v) for v in rng.normal(size=3000).tolist()] for _ in range(7)]
+    cells[6:6] = [[c.categories[j] for j in rng.integers(0, len(c.categories), 3000)] for c in columns[6:]]
+    path = tmp_path / "wide.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([[c.name for c in columns] + ["y"], *zip(*cells)])
+    schema = Schema(tuple(columns))
+    tracemalloc.start()
+    try:
+        data = read_csv(path, schema, target="y")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(v.nbytes for v in data.columns.values()) + data.y.nbytes
+    assert returned == 3000 * 21 * 8
+    assert peak < 4 * returned
