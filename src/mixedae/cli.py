@@ -228,7 +228,8 @@ def cmd_train(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    vae = _model(cfg) == "vae"
+    kind = _model(cfg)
+    vae = kind == "vae"
     _override(cfg, "experiment", seed=args.seed, epochs=args.epochs, losses=args.loss)
     # a dumped config carries the default, so only a set value or the flag is refused
     if vae and (args.epochs is not None or cfg["experiment"]["epochs"] != DEFAULTS["experiment"]["epochs"]):
@@ -237,15 +238,9 @@ def cmd_experiment(args) -> int:
     jobs = args.jobs if args.jobs is not None else _parse(cfg, "output", "jobs", 0)
     if jobs < 1:
         raise ConfigError(f"[output] jobs and --jobs must be >= 1, got {jobs}")
-    for loss in exp_cfg.losses if vae else ():  # VAEConfig refuses ce here, not in run 0
-        dataclasses.replace(exp_cfg.vae, loss=loss)
+    experiments.check_experiment(kind, exp_cfg)  # what can be refused before the data loads
     out_dir = _out_dir(args, cfg)
     if args.dry_run:
-        src = exp_cfg.source  # a CSV's encoded width is known before it loads only from a sidecar
-        if not vae and (src.kind == "synthetic" or src.schema_path):
-            schema = (tabular.synthetic_schema() if src.kind == "synthetic"
-                      else tabular.load_schema_sidecar(src.schema_path)[0])
-            models.autoencoder_widths(schema.spans[-1].stop, exp_cfg.ae.dim_z)
         budgets = [exp_cfg.vae.epochs] if vae else list(exp_cfg.epochs)
         print(f"config ok: {exp_cfg.runs} runs x epochs {budgets} x "
               f"losses {list(exp_cfg.losses)} on {exp_cfg.source.label} ({exp_cfg.task})")

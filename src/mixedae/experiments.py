@@ -237,10 +237,6 @@ class ExperimentConfig:
             raise FractionOutOfRange(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.clusters < 1:
             raise ConfigError(f"clusters must be >= 1, got {self.clusters}")
-        if self.source.kind == "synthetic":  # n is known, so are the split's sizes (a CSV's: in _run_once)
-            train_n = tabular.split_sizes(self.source.n, self.test_fraction)[0]
-            if self.task == "unsupervised" and self.clusters > train_n:
-                raise ConfigError(f"clusters = {self.clusters} exceeds the {train_n} rows of the train split")
 
 
 @dataclass(frozen=True)
@@ -443,13 +439,36 @@ _KINDS = {
 }
 
 
+def check_experiment(kind: str, cfg: ExperimentConfig, data: Dataset | None = None) -> None:
+    """Make each refusal that rests on the model kind or the data's shape (an
+    empty split, ``clusters`` above the AE's train split, a VAE's ``ce``, a
+    missing target, ``dim_z`` against the AE widths), so none comes after an
+    arm trains. Without ``data``, use what ``cfg.source`` tells before it
+    loads: a synthetic source's schema and n, a CSV's sidecar schema."""
+    for loss in cfg.losses if kind == "vae" else ():  # VAEConfig refuses ce
+        replace(cfg.vae, loss=loss)
+    n, schema, has_target = None, None, True  # a CSV's rows and target are known once it loads
+    if data is not None:
+        n, schema, has_target = data.n, data.schema, data.y is not None
+    elif cfg.source.kind == "synthetic":
+        n, schema = cfg.source.n, tabular.synthetic_schema()
+    elif cfg.source.schema_path and kind == "autoencoder":  # only the AE widths read a CSV's sidecar
+        schema = tabular.load_schema_sidecar(cfg.source.schema_path)[0]
+    if n is not None:
+        train_n = tabular.split_sizes(n, cfg.test_fraction)[0]
+        if kind == "autoencoder" and cfg.task == "unsupervised" and cfg.clusters > train_n:
+            raise ConfigError(f"clusters = {cfg.clusters} exceeds the {train_n} rows of the train split")
+    if not has_target and (kind == "vae" or _needs_target(cfg.task)):  # the VAE has a target head
+        raise DataError(f"the {kind} experiment with task {cfg.task!r} needs a target column")
+    if kind == "autoencoder" and schema is not None:
+        models.autoencoder_widths(schema.spans[-1].stop, cfg.ae.dim_z)
+
+
 def _run_once(kind: str, data: Dataset, cfg: ExperimentConfig, run: int) -> tuple[list[ReportRow], dict]:
     train_arms, score, suffix = _KINDS[kind]
     split_seed = derive_seed(cfg.seed, run, 0)
     try:
         train, test = split(data, cfg.test_fraction, split_seed)
-        if cfg.task == "unsupervised" and kind == "autoencoder" and cfg.clusters > train.n:
-            raise ConfigError(f"clusters = {cfg.clusters} exceeds the {train.n} rows of the train split")
         enc = fit_encoder(train)
         # Training first lets the proxies reuse the memory its steps freed.
         arms = train_arms(encode(train, enc), train, cfg, run)
@@ -492,10 +511,7 @@ def _map_runs(run_once, data: Dataset, cfg: ExperimentConfig, jobs: int) -> list
 
 def _experiment(kind: str, cfg: ExperimentConfig, jobs: int) -> ExperimentReport:
     data = load_source(cfg.source, derive_seed(cfg.seed, 0))
-    if data.y is None and (kind == "vae" or _needs_target(cfg.task)):  # the VAE has a target head
-        raise DataError(f"the {kind} experiment with task {cfg.task!r} needs a target column")
-    if kind == "autoencoder":  # the widths need only the encoded width, known before any split
-        models.autoencoder_widths(data.schema.spans[-1].stop, cfg.ae.dim_z)
+    check_experiment(kind, cfg, data)
     rows: list[ReportRow] = []
     curves: dict[tuple[int, int, str], LearningCurves] = {}
     for got_rows, got_curves in _map_runs(partial(_run_once, kind), data, cfg, jobs):

@@ -163,16 +163,17 @@ def _epochs(train: EncodedMatrix, cfg, weights: LossWeights | None, epochs: int)
 
 
 def _scores_from_output(output: np.ndarray, spec: LossSpec, groups) -> np.ndarray:
-    """Map raw network outputs to reconstruction scores in the data space."""
+    """Map raw network outputs to reconstruction scores in the data space.
+    The scores overwrite ``output``, which is returned."""
     if spec.kind != "ce":
-        return (output - OUT_LOW) / _SPAN
-    scores = output.copy()
+        np.subtract(output, OUT_LOW, out=output)
+        return np.divide(output, _SPAN, out=output)
     for g in groups:
         logits = output[:, g]
         m = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - m)
-        scores[:, g] = e / e.sum(axis=1, keepdims=True)
-    return scores
+        output[:, g] = e / e.sum(axis=1, keepdims=True)
+    return output
 
 
 def train_autoencoder(
@@ -248,7 +249,7 @@ def train_autoencoder_arms(
                 scores = _scores_from_output(
                     forward_output(psi_i, forward_output(phi_i, X)), arm.loss, groups
                 )
-                errors[i][epoch] = np.mean((scores - X) ** 2, axis=0)
+                errors[i][epoch] = np.mean(np.square(np.subtract(scores, X, out=scores), out=scores), axis=0)
         if epoch in checkpoints:
             for i, arm in enumerate(arms):
                 curves = LearningCurves(

@@ -102,9 +102,6 @@ class Network:
     def out_width(self) -> int:
         return self.layers[-1].W.shape[-2]
 
-    def copy(self) -> "Network":
-        return Network(self.layers)
-
 
 @dataclass
 class Trace:

@@ -244,7 +244,7 @@ def chained_autoencoder_budgets(train, cfg, budgets, weights=None):
             errors[epoch] = np.mean((scores - X) ** 2, axis=0)
         if epoch in checkpoints:
             curve = np.vstack([errors[e] for e in checkpoints[epoch]])
-            out[epoch] = (phi.copy(), psi.copy(), curve)
+            out[epoch] = (nn.Network(phi.layers), nn.Network(psi.layers), curve)
     return out
 
 

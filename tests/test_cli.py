@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -486,7 +487,7 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 2
         assert message in capsys.readouterr().err
 
-    def test_csv_clusters_checked_after_the_split(self, tmp_path, capsys):
+    def test_csv_clusters_checked_once_the_csv_loads(self, tmp_path, capsys):
         # a CSV's row count is unknown until it loads, so --dry-run passes;
         # dim_z = 1 sits below the widths of its 3 encoded columns
         data = tmp_path / "d.csv"
@@ -499,6 +500,37 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 0
         assert run_cli("experiment", "--config", str(cfg)) == 2
         assert "clusters = 7 exceeds the 6 rows of the train split" in capsys.readouterr().err
+
+    def test_refused_csv_config_starts_no_worker(self, tmp_path, capsys, monkeypatch):
+        started = []
+
+        def no_pool(max_workers):
+            started.append(max_workers)
+            raise AssertionError(f"a pool of {max_workers} workers started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)  # two runs on two workers
+        data = tmp_path / "d.csv"
+        data.write_text("a,q\n" + "".join(f"{i}.0,{'uv'[i % 2]}\n" for i in range(10)))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {data}\n[autoencoder]\ndim_z = 1\n"
+            f"[experiment]\ntask = unsupervised\nclusters = 7\nruns = 2\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg), "--jobs", "2") == 2
+        assert "clusters = 7 exceeds the 6 rows of the train split" in capsys.readouterr().err
+        assert started == [] and not (tmp_path / "out").exists()
+
+    def test_clusters_do_not_bind_the_vae(self, tmp_path):
+        # the VAE scores no silhouette, so no clustering bounds its config
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[data]\nn = 2000\n[experiment]\nmodel = vae\ntask = unsupervised\nclusters = 5000\nruns = 1\n"
+            f"[vae]\nepochs = 1\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 0
+        assert run_cli("experiment", "--config", str(cfg)) == 0
+        assert (tmp_path / "out" / "report.csv").exists()
 
     def test_msem_names_the_category_missing_from_the_test_split(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
@@ -690,6 +722,8 @@ def test_report_loads_or_raises_typed_error(tmp_path_factory, content):
 
 
 experiment_configs = st.fixed_dictionaries({
+    "source": st.sampled_from(["synthetic", "csv", "csv+sidecar"]),
+    "target": st.booleans(),  # a CSV without a sidecar names its target in [data], or leaves it a feature
     "model": st.sampled_from(["autoencoder", "vae"]),
     "task": st.sampled_from(["regression", "unsupervised"]),
     "n": st.integers(1, 1200),
@@ -706,15 +740,29 @@ experiment_configs = st.fixed_dictionaries({
 @settings(max_examples=25, deadline=None)
 @given(c=experiment_configs)
 def test_experiment_config_never_fails_late_as_a_config_error(tmp_path_factory, c):
-    """Every synthetic experiment config ends in a documented exit code, and
-    one that passes --dry-run is never refused as a config (exit 2) later."""
+    """Every experiment config, on synthetic data or on a CSV written by
+    tabular.write_csv with or without a sidecar, ends in a documented exit
+    code. A config refused (exit 2) under --dry-run is refused by the run
+    too, and none is refused after an arm has trained. A synthetic config
+    that passes --dry-run is never refused later; a CSV's row count and
+    target are known only once it loads."""
     base = tmp_path_factory.mktemp("prop")
     model_section = "vae" if c["model"] == "vae" else "autoencoder"
     epochs = ",".join(map(str, c["epochs"]))
+    data = f"[data]\nn = {c['n']}\n"
+    if c["source"] != "synthetic":
+        table = tabular.generate_synthetic("imbalanced", c["n"], c["seed"])
+        tabular.write_csv(table, base / "d.csv")
+        data = f"[data]\nsource = csv\ncsv_path = {base / 'd.csv'}\n"
+        if c["source"] == "csv+sidecar":
+            tabular.save_schema_sidecar(table.schema, base / "d.schema", target=table.target_name)
+            data += f"schema_path = {base / 'd.schema'}\n"
+        elif c["target"]:
+            data += f"target = {table.target_name}\n"
     cfg = base / "exp.ini"
     cfg.write_text(
-        f"[data]\nn = {c['n']}\n"
-        f"[experiment]\nmodel = {c['model']}\ntask = {c['task']}\nruns = 1\nseed = {c['seed']}\n"
+        data
+        + f"[experiment]\nmodel = {c['model']}\ntask = {c['task']}\nruns = 1\nseed = {c['seed']}\n"
         f"test_fraction = {c['test_fraction']!r}\nclusters = {c['clusters']}\nlosses = {','.join(c['losses'])}\n"
         + (f"epochs = {epochs}\n" if c["model"] == "autoencoder" else "")
         + f"[{model_section}]\ndim_z = {c['dim_z']}\n"
@@ -722,10 +770,15 @@ def test_experiment_config_never_fails_late_as_a_config_error(tmp_path_factory, 
         + f"[output]\ndir = {base / 'out'}\n"
     )
     codes = []
+    trainers = [mock.patch.object(models, name, wraps=getattr(models, name))
+                for name in ("train_autoencoder_arms", "train_vae_arms")]
     for flags in (["--dry-run"], []):
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings(), \
+                trainers[0] as ae_arms, trainers[1] as vae_arms:
             warnings.simplefilter("error")
             codes.append(run_cli("experiment", "--config", str(cfg), *flags))
         assert codes[-1] in (0, 2, 3, 4), err.getvalue()
-    assert codes[0] != 0 or codes[1] != 2, err.getvalue()
+    assert codes[0] != 2 or codes[1] == 2, err.getvalue()
+    assert c["source"] != "synthetic" or codes[0] != 0 or codes[1] != 2, err.getvalue()
+    assert codes[1] != 2 or ae_arms.call_count + vae_arms.call_count == 0, err.getvalue()

@@ -255,16 +255,18 @@ class TestLockstepArms:
 
         data = generate_synthetic("imbalanced", 12000, seed=4)
         X = encode(data, fit_encoder(data))
-        tracemalloc.start()
-        try:
-            models.train_autoencoder_arms(X, AutoencoderConfig(seed=3), ("standard", "balanced"), (1,))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # scoring an arm on the whole matrix holds its output, its scores and
-        # their squared error (3.5 x here); a whole trace of each half held
-        # every activation as well (5.1 x)
-        assert peak < 4 * X.values.nbytes
+        for losses in (("standard", "balanced"), ("standard", "balanced", "ce")):
+            tracemalloc.start()
+            try:
+                models.train_autoencoder_arms(X, AutoencoderConfig(seed=3), losses, (1,))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # scoring an arm on the whole matrix holds only its output, scored and
+            # squared in place (3.5 x here with 2 arms, 3.6 x with 3); a whole trace
+            # of each half held every activation as well (5.1 x), and a copy for
+            # the scores and one for their error took 3 arms to 4.6 x
+            assert peak < 4 * X.values.nbytes, losses
 
     def test_no_arms_rejected(self, synthetic_split):
         train, _, enc = synthetic_split
