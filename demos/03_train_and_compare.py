@@ -9,19 +9,18 @@ import numpy as np
 
 from mixedae import metrics
 from mixedae.models import AutoencoderConfig, reconstruct, train_autoencoder
-from mixedae.tabular import encode, fit_encoder, generate_synthetic, split
+from mixedae.tabular import fit_encoder, generate_synthetic, split
 
 EPOCHS = 1000
 
 data = generate_synthetic("imbalanced", n=2000, seed=3)
 train, test = split(data, 0.4, seed=1)
 enc = fit_encoder(train)
-X = encode(train, enc)
 
 models = {}
 for loss in ("standard", "balanced"):
     models[loss] = train_autoencoder(
-        X, AutoencoderConfig(epochs=EPOCHS, loss=loss, seed=11)
+        train, enc, AutoencoderConfig(epochs=EPOCHS, loss=loss, seed=11)
     )
     rec = reconstruct(models[loss], test)
     print(f"{loss:9s}: test MSEM = {metrics.msem(test, rec, enc):.4f}")

@@ -7,13 +7,13 @@ import numpy as np
 
 from mixedae.models import VAEConfig, train_vae, vae_generate, vae_reconstruct
 from mixedae import metrics
-from mixedae.tabular import encode, fit_encoder, generate_synthetic, split
+from mixedae.tabular import fit_encoder, generate_synthetic, split
 
 data = generate_synthetic("imbalanced", n=2000, seed=9)
 train, test = split(data, 0.4, seed=2)
 enc = fit_encoder(train)
 
-model = train_vae(encode(train, enc), train.y, VAEConfig(epochs=600, seed=4))
+model = train_vae(train, enc, VAEConfig(epochs=600, seed=4))
 print(f"test reconstruction MSEM: {metrics.msem(test, vae_reconstruct(model, test), enc):.4f}")
 
 generated = vae_generate(model, count=2000, seed=77)

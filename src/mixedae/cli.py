@@ -208,15 +208,8 @@ def cmd_train(args) -> int:
     model_cfg = _dataclass(cfg, kind, MODEL_CONFIGS[kind], loss=cfg["train"]["loss"], **fields)
     out_dir = _out_dir(args, cfg)
     data = experiments.load_source(_source_from_config(cfg), model_cfg.seed)
-    enc = tabular.fit_encoder(data)
-    matrix = tabular.encode(data, enc)
-
-    if kind == "vae":
-        if data.y is None:
-            raise DataError("training a VAE needs a target column")
-        model = models.train_vae(matrix, data.y, model_cfg)
-    else:
-        model = models.train_autoencoder(matrix, model_cfg)
+    train = models.train_vae if kind == "vae" else models.train_autoencoder
+    model = train(data, tabular.fit_encoder(data), model_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "autoencoder":
         models.curves_to_csv([model.curves], out_dir / "curves.csv")

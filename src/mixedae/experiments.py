@@ -19,7 +19,7 @@ import json
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import metrics, models, tabular
 from .errors import ConfigError, DataError, FractionOutOfRange, InvalidContext, MixedAEError
 from .models import AutoencoderConfig, LearningCurves, VAEConfig, parse_loss
 from .rng import derive_seed, make_rng
-from .tabular import Dataset, EncodedMatrix, encode, encode_values, fit_encoder, split
+from .tabular import Dataset, EncoderState, encode_values, fit_encoder, split
 
 TASKS = ("regression", "binary", "multiclass", "unsupervised")
 
@@ -67,7 +67,9 @@ def _ridge_in_place(X: np.ndarray, y: np.ndarray, lam: float) -> RidgeModel:
     X -= x_mean
     yc = y - y_mean
     if lam > 0.0:
-        coef = np.linalg.solve(X.T @ X + lam * np.eye(X.shape[1]), X.T @ yc)
+        gram = X.T @ X
+        gram.flat[:: X.shape[1] + 1] += lam  # the diagonal, in place
+        coef = np.linalg.solve(gram, X.T @ yc)
     else:
         coef = np.linalg.lstsq(X, yc, rcond=None)[0]
     return RidgeModel(coef, float(y_mean - x_mean @ coef))
@@ -204,6 +206,11 @@ class DataSource:
     def label(self) -> str:
         return self.context if self.kind == "synthetic" else Path(self.path or "csv").stem
 
+    @cached_property
+    def sidecar(self) -> tuple[tabular.Schema, str | None] | None:
+        """The schema sidecar's (schema, target), or None; read on first use only."""
+        return tabular.load_schema_sidecar(self.schema_path) if self.schema_path else None
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -323,12 +330,8 @@ def load_report_csv(path: str | Path) -> ExperimentReport:
 def load_source(source: DataSource, seed: int) -> Dataset:
     if source.kind == "synthetic":
         return tabular.generate_synthetic(source.context, source.n, seed, source.coeffs)
-    schema = None
-    target = source.target
-    if source.schema_path:
-        schema, sidecar_target = tabular.load_schema_sidecar(source.schema_path)
-        target = target or sidecar_target
-    return tabular.read_csv(source.path, schema, target=target)
+    schema, sidecar_target = source.sidecar or (None, None)
+    return tabular.read_csv(source.path, schema, target=source.target or sidecar_target)
 
 
 def _downstream_metrics(
@@ -377,11 +380,11 @@ def _silhouette(points: np.ndarray, cfg: ExperimentConfig, run: int) -> float:
     return metrics.silhouette(points, kmeans(points, cfg.clusters, derive_seed(cfg.seed, run, 3)).labels)
 
 
-def _train_autoencoders(X_train: EncodedMatrix, train: Dataset, cfg: ExperimentConfig, run: int) -> list:
+def _train_autoencoders(train: Dataset, enc: EncoderState, cfg: ExperimentConfig, run: int) -> list:
     """Each loss arm trained once to the largest budget, as one
     (budget, loss, snapshot) triple per budget."""
     ae_cfg = replace(cfg.ae, epochs=max(cfg.epochs), seed=derive_seed(cfg.seed, run, 1))
-    snapshots = models.train_autoencoder_arms(X_train, ae_cfg, cfg.losses, cfg.epochs)
+    snapshots = models.train_autoencoder_arms(train, enc, ae_cfg, cfg.losses, cfg.epochs)
     return [(epochs, loss, arm[epochs]) for epochs in cfg.epochs for loss, arm in zip(cfg.losses, snapshots)]
 
 
@@ -404,10 +407,10 @@ def _score_autoencoder(
     return cell
 
 
-def _train_vaes(X_train: EncodedMatrix, train: Dataset, cfg: ExperimentConfig, run: int) -> list:
+def _train_vaes(train: Dataset, enc: EncoderState, cfg: ExperimentConfig, run: int) -> list:
     """Each loss arm trained to ``cfg.vae.epochs``, as (epochs, loss, model) triples."""
     vae_cfg = replace(cfg.vae, seed=derive_seed(cfg.seed, run, 1))
-    trained = models.train_vae_arms(X_train, train.y, vae_cfg, cfg.losses)
+    trained = models.train_vae_arms(train, enc, vae_cfg, cfg.losses)
     return [(vae_cfg.epochs, loss, model) for loss, model in zip(cfg.losses, trained)]
 
 
@@ -453,7 +456,7 @@ def check_experiment(kind: str, cfg: ExperimentConfig, data: Dataset | None = No
     elif cfg.source.kind == "synthetic":
         n, schema = cfg.source.n, tabular.synthetic_schema()
     elif cfg.source.schema_path and kind == "autoencoder":  # only the AE widths read a CSV's sidecar
-        schema = tabular.load_schema_sidecar(cfg.source.schema_path)[0]
+        schema = cfg.source.sidecar[0]
     if n is not None:
         train_n = tabular.split_sizes(n, cfg.test_fraction)[0]
         if kind == "autoencoder" and cfg.task == "unsupervised" and cfg.clusters > train_n:
@@ -471,7 +474,7 @@ def _run_once(kind: str, data: Dataset, cfg: ExperimentConfig, run: int) -> tupl
         train, test = split(data, cfg.test_fraction, split_seed)
         enc = fit_encoder(train)
         # Training first lets the proxies reuse the memory its steps freed.
-        arms = train_arms(encode(train, enc), train, cfg, run)
+        arms = train_arms(train, enc, cfg, run)
 
         # each proxy makes its own matrices, in turn (see _downstream_metrics)
         train_X, test_X = partial(encode_values, train, enc), partial(encode_values, test, enc)

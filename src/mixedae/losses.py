@@ -67,19 +67,16 @@ class LossWeights:
             is_categorical = np.zeros(width, dtype=bool)
         return cls(np.ones(width), np.ones(width), np.asarray(is_categorical, dtype=bool))
 
-    def check(self, target: np.ndarray) -> None:
-        """Categorical targets must be hard 0/1 (:class:`NonBinaryTarget`)."""
-        if target.shape[1] != self.width:
-            raise ShapeError(f"weights cover {self.width} features, batch has {target.shape[1]}")
-        off = (target != 0.0) & (target != 1.0)  # a boolean mask: no float copy of any column
-        if (off.any(axis=0) & self.is_categorical).any():
-            raise NonBinaryTarget("categorical target entries must be exactly 0 or 1")
-
     def select(self, target: np.ndarray, checked: bool = False) -> np.ndarray:
         """Per-entry weights of a target matrix: ``w_one`` where it is 1, else
-        ``w_zero``; :meth:`check` first unless ``checked`` says it ran already."""
+        ``w_zero``. Categorical targets must be hard 0/1 (:class:`NonBinaryTarget`),
+        unless ``checked`` says they are (a training batch made from codes is)."""
         if not checked:
-            self.check(target)
+            if target.shape[1] != self.width:
+                raise ShapeError(f"weights cover {self.width} features, batch has {target.shape[1]}")
+            off = (target != 0.0) & (target != 1.0)  # a boolean mask: no float copy of any column
+            if (off.any(axis=0) & self.is_categorical).any():
+                raise NonBinaryTarget("categorical target entries must be exactly 0 or 1")
         return np.where(target == 1.0, self.w_one, self.w_zero)
 
 

@@ -134,32 +134,31 @@ def build_autoencoder(p: int, dim_z: int, seed: int) -> tuple[Network, Network]:
     return phi, psi
 
 
-def _arms(cfg, losses, train: EncodedMatrix, weights: LossWeights | None = None) -> tuple:
+def _arms(cfg, losses, enc: EncoderState, weights: LossWeights | None = None) -> tuple:
     """Per loss, ``cfg`` with that loss; and, if some loss needs weights, ``weights``
-    (by default the encoder's balance weights), checked once per fit, or None."""
+    (by default the encoder's balance weights), or None."""
     if not losses:
         raise ConfigError("need at least one loss")
     arms = [dataclasses.replace(cfg, loss=loss) for loss in losses]
     if not any(a.loss.needs_weights for a in arms):
         return arms, None
-    if weights is None:
-        weights = compute_balance_weights(train.encoder)
-    weights.check(train.values)
-    return arms, weights
+    if weights is not None and weights.width != enc.width:
+        raise ShapeError(f"weights cover {weights.width} features, the encoder {enc.width}")
+    return arms, compute_balance_weights(enc) if weights is None else weights
 
 
-def _epochs(train: EncodedMatrix, cfg, weights: LossWeights | None, epochs: int):
-    """Per epoch, an iterator over its batches as (row indices, rows, their
-    per-entry weights or None), each made when the step asks for it. Rows are
-    reshuffled every epoch from the run seed and the final short batch is
-    kept, so training is bit-reproducible given (data, config, seed) and a
-    shorter training is a prefix of a longer one's."""
-    X, size = train.values, cfg.batch_size
+def _epochs(rows, n: int, cfg, weights: LossWeights | None, epochs: int):
+    """Per epoch, an iterator over its batches as (row indices, rows, their per-entry
+    weights or None), each made by ``rows`` (a :func:`tabular.row_source`) when the
+    step asks for it. Rows are reshuffled every epoch from the run seed and the final
+    short batch is kept, so training is bit-reproducible given (data, config, seed)
+    and a shorter training is a prefix of a longer one's."""
+    size = cfg.batch_size
     shuffle = make_rng(derive_seed(cfg.seed, 1))
-    for _ in range(epochs):  # weights come from each batch's rows, checked whole in _arms
-        order = shuffle.permutation(X.shape[0])
-        yield ((idx, xb := X[idx], None if weights is None else weights.select(xb, checked=True))
-               for idx in (order[start : start + size] for start in range(0, X.shape[0], size)))
+    for _ in range(epochs):  # rows made from codes are 0/1 in every one-hot column
+        order = shuffle.permutation(n)
+        yield ((idx, xb := rows(idx), None if weights is None else weights.select(xb, checked=True))
+               for idx in (order[start : start + size] for start in range(0, n, size)))
 
 
 def _scores_from_output(output: np.ndarray, spec: LossSpec, groups) -> np.ndarray:
@@ -177,16 +176,18 @@ def _scores_from_output(output: np.ndarray, spec: LossSpec, groups) -> np.ndarra
 
 
 def train_autoencoder(
-    train: EncodedMatrix,
+    train: Dataset,
+    enc: EncoderState,
     cfg: AutoencoderConfig,
     weights: LossWeights | None = None,
 ) -> TrainedAutoencoder:
     """:func:`train_autoencoder_arms` with the one arm ``cfg.loss`` and budget ``cfg.epochs``."""
-    return train_autoencoder_arms(train, cfg, (cfg.loss,), (cfg.epochs,), weights)[0][cfg.epochs]
+    return train_autoencoder_arms(train, enc, cfg, (cfg.loss,), (cfg.epochs,), weights)[0][cfg.epochs]
 
 
 def train_autoencoder_arms(
-    train: EncodedMatrix,
+    train: Dataset,
+    enc: EncoderState,
     cfg: AutoencoderConfig,
     losses: tuple[LossSpec | str, ...],
     budgets: tuple[int, ...],
@@ -200,18 +201,16 @@ def train_autoencoder_arms(
     so they train in lockstep as one stacked network (phi's layers, then
     psi's) with one Adam state, each bit for bit as alone.
     Per-feature training MSE is recorded at each budget's 10 checkpoint
-    epochs; each snapshot's config carries its loss and budget. A
-    non-finite loss aborts with :class:`NonFinite`; a weighted arm's
-    non-0/1 categorical entry, with :class:`NonBinaryTarget` before step 1.
+    epochs, the only time the whole split is encoded; each snapshot's config
+    carries its loss and budget. A non-finite loss aborts with :class:`NonFinite`.
     """
     if not budgets or min(budgets) < 1:
         raise ConfigError(f"epochs budgets must be >= 1, got {budgets}")
-    X = train.values
-    enc = train.encoder
-    arms, weights = _arms(cfg, losses, train, weights)
+    rows = tabular.row_source(train, enc)
+    arms, weights = _arms(cfg, losses, enc, weights)
     groups = enc.categorical_groups()
 
-    phi, psi = build_autoencoder(train.width, cfg.dim_z, derive_seed(cfg.seed, 0))
+    phi, psi = build_autoencoder(enc.width, cfg.dim_z, derive_seed(cfg.seed, 0))
     net = Network.stack([Network(phi.layers + psi.layers)] * len(arms))
     opt = nn.AdamState.like(net.params)
 
@@ -224,7 +223,7 @@ def train_autoencoder_arms(
     errors: list[dict[int, np.ndarray]] = [{} for _ in arms]
     snapshots: list[dict[int, TrainedAutoencoder]] = [{} for _ in arms]
 
-    for epoch, batches in enumerate(_epochs(train, cfg, weights, max(budgets)), 1):
+    for epoch, batches in enumerate(_epochs(rows, train.n, cfg, weights, max(budgets)), 1):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NonFinite
             for _, xb, wb in batches:
                 trace = forward(net, xb)
@@ -244,12 +243,14 @@ def train_autoencoder_arms(
                 adam_step(opt, net.params, backward(net, trace, d_out, need_input=False).flat,
                           cfg.learning_rate)
         if epoch in logged:
+            X = rows()
             for i, arm in enumerate(arms):
                 phi_i, psi_i = halves(i)
                 scores = _scores_from_output(
                     forward_output(psi_i, forward_output(phi_i, X)), arm.loss, groups
                 )
                 errors[i][epoch] = np.mean(np.square(np.subtract(scores, X, out=scores), out=scores), axis=0)
+            del X, scores
         if epoch in checkpoints:
             for i, arm in enumerate(arms):
                 curves = LearningCurves(
@@ -395,40 +396,39 @@ def vae_loss(
     return vx * width + vy + kl, (gx, gy, g_mu, g_logvar)
 
 
-def train_vae(train: EncodedMatrix, y: np.ndarray, cfg: VAEConfig) -> TrainedVAE:
+def train_vae(train: Dataset, enc: EncoderState, cfg: VAEConfig) -> TrainedVAE:
     """:func:`train_vae_arms` with the one arm ``cfg.loss``."""
-    return train_vae_arms(train, y, cfg, (cfg.loss,))[0]
+    return train_vae_arms(train, enc, cfg, (cfg.loss,))[0]
 
 
 def train_vae_arms(
-    train: EncodedMatrix, y: np.ndarray, cfg: VAEConfig, losses: tuple[LossSpec | str, ...]
+    train: Dataset, enc: EncoderState, cfg: VAEConfig, losses: tuple[LossSpec | str, ...]
 ) -> list[TrainedVAE]:
     """Mini-batch Adam over the VAE objective with seeded noise, one arm per loss.
 
-    The target is min-max scaled to [0, 1] from the training split so the
+    The target ``train.y`` is min-max scaled to [0, 1] from the training split so the
     target head's MSE is on the same footing as the feature block; the
     inverse map is applied when generating. Batches come from :func:`_epochs`.
     The arms share init, shuffles and noise, so they train in lockstep on
     stacked networks, each bit for bit as alone, and the six networks share
-    one buffer and one Adam state. A weighted arm's non-0/1 categorical
-    entry raises :class:`NonBinaryTarget` before the first step.
+    one buffer and one Adam state.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (train.n,):
-        raise ShapeError("y must be a vector with one entry per training row")
-    y_lo, y_hi = float(y.min()), float(y.max())
+    if train.y is None:
+        raise DataError("training a VAE needs a target column")
+    y_lo, y_hi = float(train.y.min()), float(train.y.max())
     if y_hi <= y_lo:
         raise ConstantNumeric("target column is constant")
-    ys = ((y - y_lo) / (y_hi - y_lo))[:, None]
+    ys = ((train.y - y_lo) / (y_hi - y_lo))[:, None]
 
-    arms, weights = _arms(cfg, losses, train)
-    base = build_vae(train.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
+    rows = tabular.row_source(train, enc)
+    arms, weights = _arms(cfg, losses, enc)
+    base = build_vae(enc.width, cfg.dim_hidden, cfg.dim_z, derive_seed(cfg.seed, 0))
     nets = VAENets(*(Network.stack([net] * len(arms)) for net in base.all()))
     params, spans = Network.share(nets.all())
     opt = nn.AdamState.like(params)
     noise_rng = make_rng(derive_seed(cfg.seed, 2))
 
-    for epoch, batches in enumerate(_epochs(train, cfg, weights, cfg.epochs), 1):
+    for epoch, batches in enumerate(_epochs(rows, train.n, cfg, weights, cfg.epochs), 1):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NonFinite
             for idx, xb, wb in batches:
                 yb = ys[idx]
@@ -469,7 +469,7 @@ def train_vae_arms(
                 adam_step(opt, params, grad, cfg.learning_rate)
 
     return [
-        TrainedVAE(VAENets(*(net.arm(i) for net in nets.all())), train.encoder, arm, (y_lo, y_hi))
+        TrainedVAE(VAENets(*(net.arm(i) for net in nets.all())), enc, arm, (y_lo, y_hi))
         for i, arm in enumerate(arms)
     ]
 
@@ -506,7 +506,7 @@ def vae_generate(model: TrainedVAE, count: int, seed: int) -> Dataset:
         s = np.clip(x_scores[:, g], 1e-9, None)
         s /= s.sum(axis=1, keepdims=True)
         u = rng.random(count)
-        cols[name] = np.minimum((np.cumsum(s, axis=1) < u[:, None]).sum(axis=1), len(g) - 1)
+        cols[name] = np.minimum((np.cumsum(s, axis=1, out=s) < u[:, None]).sum(axis=1), len(g) - 1)
     y_lo, y_hi = model.y_range
     return Dataset(enc.schema, cols, y=y_lo + y_scaled * (y_hi - y_lo))
 

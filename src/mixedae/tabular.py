@@ -16,6 +16,7 @@ import csv
 import math
 from array import array
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -253,17 +254,33 @@ def encode(data: Dataset, enc: EncoderState) -> EncodedMatrix:
 
 def encode_values(data: Dataset, enc: EncoderState) -> np.ndarray:
     """:func:`encode`'s matrix as a new writable array, which its caller may overwrite."""
+    return row_source(data, enc)()
+
+
+def row_source(data: Dataset, enc: EncoderState) -> Callable[..., np.ndarray]:
+    """``rows(indices)``: those rows of :func:`encode_values`, made from each categorical
+    cell's encoded column (n x q) and the scaled numeric cells, never the whole matrix."""
     if data.schema != enc.schema:
         raise SchemaMismatch("dataset schema differs from encoder schema")
-    out = np.zeros((data.n, enc.width))
+    hot, numeric, scaled = [np.empty((data.n, 0), dtype=np.int64)], [], [np.empty((data.n, 0))]
     for c, span in zip(data.schema.columns, data.schema.spans):
         v = data.column(c.name)
         if c.is_categorical:
-            out[np.arange(data.n), span.start + v] = 1.0
+            hot.append(span.start + v)
         else:
             lo, hi = enc.numeric_range[c.name]
-            out[:, span.start] = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
-    return out
+            numeric.append(span.start)
+            scaled.append(np.clip((v - lo) / (hi - lo), 0.0, 1.0))
+    hot, scaled = np.column_stack(hot), np.column_stack(scaled)
+
+    def rows(indices=slice(None)) -> np.ndarray:
+        cells = hot[indices]
+        out = np.zeros((len(cells), enc.width))
+        out[np.arange(len(cells))[:, None], cells] = 1.0
+        out[:, numeric] = scaled[indices]
+        return out
+
+    return rows
 
 
 def decode(m: EncodedMatrix, enc: EncoderState) -> Dataset:

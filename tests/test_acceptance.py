@@ -39,7 +39,6 @@ from mixedae.tabular import (
     Dataset,
     EncoderState,
     Schema,
-    encode,
     fit_encoder,
     generate_synthetic,
     split,
@@ -88,10 +87,9 @@ def vae_runs():
     for run in range(5):
         train, test = split(data, 0.4, derive_seed(MASTER_SEED, run, 0))
         enc = fit_encoder(train)
-        X = encode(train, enc)
         # both losses in lockstep: each arm has the bits of its own training
         cfg = VAEConfig(epochs=1000, seed=derive_seed(MASTER_SEED, run, 1))
-        for loss, model in zip(out, train_vae_arms(X, train.y, cfg, tuple(out))):
+        for loss, model in zip(out, train_vae_arms(train, enc, cfg, tuple(out))):
             out[loss].append(metrics.msem(test, vae_reconstruct(model, test), enc))
     return {k: np.asarray(v) for k, v in out.items()}
 
@@ -218,12 +216,12 @@ def test_criterion_03_balanced_sse_bounds():
 
 def test_criterion_04_reduction_property():
     data = generate_synthetic("imbalanced", 200, seed=1)
-    enc = fit_encoder(Dataset(data.schema, dict(data.columns)))
-    X = encode(Dataset(data.schema, dict(data.columns)), enc)
-    unit = LossWeights.unit(X.width)
-    ms = train_autoencoder(X, AutoencoderConfig(epochs=50, seed=14, loss="standard"))
+    train = Dataset(data.schema, dict(data.columns))
+    enc = fit_encoder(train)
+    unit = LossWeights.unit(enc.width)
+    ms = train_autoencoder(train, enc, AutoencoderConfig(epochs=50, seed=14, loss="standard"))
     mb = train_autoencoder(
-        X, AutoencoderConfig(epochs=50, seed=14, loss="balanced"), weights=unit
+        train, enc, AutoencoderConfig(epochs=50, seed=14, loss="balanced"), weights=unit
     )
     identical = all(
         np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)

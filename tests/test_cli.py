@@ -501,6 +501,41 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(cfg)) == 2
         assert "clusters = 7 exceeds the 6 rows of the train split" in capsys.readouterr().err
 
+    def test_missing_target_refused_once_the_csv_loads(self, tmp_path, capsys):
+        # only the loaded CSV shows it has no target, so --dry-run passes and
+        # the check made once the data has loaded refuses it before any arm trains
+        data = tmp_path / "d.csv"
+        data.write_text("a,q\n" + "".join(f"{i}.0,{'uv'[i % 2]}\n" for i in range(40)))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {data}\n[autoencoder]\ndim_z = 1\n"
+            f"[experiment]\ntask = regression\nruns = 1\nepochs = 2\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == 0
+        capsys.readouterr()
+        assert run_cli("experiment", "--config", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert "needs a target column" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_experiment_reads_the_sidecar_once(self, tmp_path, monkeypatch):
+        assert run_cli("generate", "--out", str(tmp_path / "g.csv")) == 0
+        reads = []
+        real = tabular.load_schema_sidecar
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(tabular, "load_schema_sidecar", counting)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            f"[data]\nsource = csv\ncsv_path = {tmp_path / 'g.csv'}\nschema_path = {tmp_path / 'g.schema'}\n"
+            f"[experiment]\nruns = 1\nepochs = 2\nlosses = standard\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", str(cfg)) == 0
+        assert reads == [str(tmp_path / "g.schema")]
+
     def test_refused_csv_config_starts_no_worker(self, tmp_path, capsys, monkeypatch):
         started = []
 

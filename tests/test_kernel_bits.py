@@ -330,6 +330,29 @@ class TestLogistic:
         assert identical(model.intercept, intercept) and type(model.intercept) is float
 
 
+class TestRidge:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(0, 8),
+        lam=st.sampled_from([1e-4, 1.0, 30.0]),
+        constant=st.booleans(),
+    )
+    def test_diagonal_in_place_matches_the_identity_sum(self, seed, n, d, lam, constant):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * rng.lognormal(0.0, 2.0, d)
+        if constant and d:
+            X[:, 0] = 3.0  # centres to a zero column
+        y = rng.normal(size=n)
+        x_mean = X.mean(axis=0)
+        Xc = X - x_mean
+        coef = np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ (y - y.mean()))
+        model = experiments._ridge_in_place(X.copy(), y, lam)
+        assert identical(model.coef, coef)
+        assert identical(model.intercept, float(y.mean() - x_mean @ coef))
+
+
 @st.composite
 def loss_batches(draw, max_side=300):
     """(pred, target, weights): 0/1 categorical and [0, 1] numeric targets,

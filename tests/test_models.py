@@ -28,7 +28,6 @@ from mixedae.rng import make_rng
 from oracles import chained_autoencoder_budgets, same_dataset, separate_vae
 from mixedae.tabular import (
     Dataset,
-    EncodedMatrix,
     encode,
     fit_encoder,
     generate_synthetic,
@@ -101,21 +100,19 @@ class TestCheckpointEpochs:
 class TestTrainAutoencoder:
     def test_deterministic(self, synthetic_split):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
         cfg = AutoencoderConfig(epochs=20, seed=3)
-        m1 = train_autoencoder(X, cfg)
-        m2 = train_autoencoder(X, AutoencoderConfig(epochs=20, seed=3))
+        m1 = train_autoencoder(train, enc, cfg)
+        m2 = train_autoencoder(train, enc, AutoencoderConfig(epochs=20, seed=3))
         assert nets_equal(m1.encoder_net, m2.encoder_net)
         assert nets_equal(m1.decoder_net, m2.decoder_net)
         assert np.array_equal(m1.curves.errors, m2.curves.errors)
 
     def test_unit_weight_balanced_equals_standard(self, synthetic_split):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
-        unit = LossWeights.unit(X.width)
-        ms = train_autoencoder(X, AutoencoderConfig(epochs=15, seed=4, loss="standard"))
+        unit = LossWeights.unit(enc.width)
+        ms = train_autoencoder(train, enc, AutoencoderConfig(epochs=15, seed=4, loss="standard"))
         mb = train_autoencoder(
-            X, AutoencoderConfig(epochs=15, seed=4, loss="balanced"), weights=unit
+            train, enc, AutoencoderConfig(epochs=15, seed=4, loss="balanced"), weights=unit
         )
         assert nets_equal(ms.encoder_net, mb.encoder_net)
         assert nets_equal(ms.decoder_net, mb.decoder_net)
@@ -124,39 +121,40 @@ class TestTrainAutoencoder:
     def test_constant_rows_learned(self, synthetic_split):
         # a batch of identical rows is trivially learnable to high precision
         train, _, enc = synthetic_split
-        row = encode(train, enc).values[3]
-        X = EncodedMatrix(np.tile(row, (64, 1)), enc)
-        model = train_autoencoder(X, AutoencoderConfig(epochs=1000, seed=5))
+        model = train_autoencoder(train.take(np.full(64, 3)), enc, AutoencoderConfig(epochs=1000, seed=5))
         assert model.curves.errors[-1].mean() < 1e-3
 
     def test_curve_shape_and_finiteness(self, synthetic_split):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
-        model = train_autoencoder(X, AutoencoderConfig(epochs=30, seed=6))
-        assert model.curves.errors.shape == (10, X.width)
+        model = train_autoencoder(train, enc, AutoencoderConfig(epochs=30, seed=6))
+        assert model.curves.errors.shape == (10, enc.width)
         assert np.all(np.isfinite(model.curves.errors))
         assert model.curves.feature_names == enc.feature_names()
 
     def test_balanced_uses_encoder_weights(self, synthetic_split):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
         cfg = AutoencoderConfig(epochs=5, seed=7, loss="balanced")
-        default = train_autoencoder(X, cfg)
-        given = train_autoencoder(X, cfg, weights=compute_balance_weights(enc))
+        default = train_autoencoder(train, enc, cfg)
+        given = train_autoencoder(train, enc, cfg, weights=compute_balance_weights(enc))
         assert nets_equal(default.encoder_net, given.encoder_net)
         assert nets_equal(default.decoder_net, given.decoder_net)
         assert np.array_equal(default.curves.errors, given.curves.errors)
+
+    def test_weights_of_another_width_rejected(self, synthetic_split):
+        train, _, enc = synthetic_split
+        cfg = AutoencoderConfig(epochs=1, loss="balanced")
+        with pytest.raises(errors.ShapeError):
+            train_autoencoder(train, enc, cfg, weights=LossWeights.unit(enc.width - 1))
 
 
 class TestTrainAutoencoderBudgets:
     @pytest.mark.parametrize("loss", ["standard", "balanced", "ce"])
     def test_snapshots_equal_separate_training(self, synthetic_split, loss):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
-        snaps = models.train_autoencoder_arms(X, AutoencoderConfig(loss=loss, seed=6), (loss,), (3, 7))[0]
+        snaps = models.train_autoencoder_arms(train, enc, AutoencoderConfig(loss=loss, seed=6), (loss,), (3, 7))[0]
         assert list(snaps) == [3, 7]
         for budget, snap in snaps.items():
-            alone = train_autoencoder(X, AutoencoderConfig(epochs=budget, loss=loss, seed=6))
+            alone = train_autoencoder(train, enc, AutoencoderConfig(epochs=budget, loss=loss, seed=6))
             assert snap.config == alone.config
             assert nets_equal(snap.encoder_net, alone.encoder_net)
             assert nets_equal(snap.decoder_net, alone.decoder_net)
@@ -165,10 +163,9 @@ class TestTrainAutoencoderBudgets:
 
     def test_bad_budgets(self, synthetic_split):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
         for budgets in ((), (5, 0)):
             with pytest.raises(errors.ConfigError):
-                models.train_autoencoder_arms(X, AutoencoderConfig(), ("standard",), budgets)
+                models.train_autoencoder_arms(train, enc, AutoencoderConfig(), ("standard",), budgets)
 
 
 class TestLockstepArms:
@@ -176,7 +173,7 @@ class TestLockstepArms:
         train, _, enc = synthetic_split
         X = encode(train, enc)
         losses = ("standard", "balanced", "blended:0.3", "ce")
-        arms = models.train_autoencoder_arms(X, AutoencoderConfig(seed=6), losses, (3, 7))
+        arms = models.train_autoencoder_arms(train, enc, AutoencoderConfig(seed=6), losses, (3, 7))
         assert len(arms) == len(losses)
         for loss, snaps in zip(losses, arms):
             ref = chained_autoencoder_budgets(X, AutoencoderConfig(loss=loss, seed=6), (3, 7))
@@ -192,7 +189,7 @@ class TestLockstepArms:
         train, _, enc = synthetic_split
         X = encode(train, enc)
         losses = ("standard", "balanced", "blended:0.3")
-        arms = models.train_vae_arms(X, train.y, VAEConfig(epochs=4, seed=9), losses)
+        arms = models.train_vae_arms(train, enc, VAEConfig(epochs=4, seed=9), losses)
         assert len(arms) == len(losses)
         for loss, got in zip(losses, arms):
             cfg = VAEConfig(epochs=4, seed=9, loss=loss)
@@ -201,87 +198,102 @@ class TestLockstepArms:
             for a, b in zip(got.nets.all(), nets.all()):
                 assert a.params.ndim == 1 and np.array_equal(a.params, b.params)
 
-    def test_non_binary_target_raised_before_first_step(self, synthetic_split, monkeypatch):
+    def test_fits_select_weights_unchecked_per_batch(self, synthetic_split, monkeypatch):
+        # rows made from codes are 0/1 in every one-hot column, so no fit checks them
         train, _, enc = synthetic_split
-        values = encode(train, enc).values.copy()
-        values[-1, enc.categorical_groups()[0][0]] = 0.5
-        X = EncodedMatrix(values, enc)
+        selected = []
+        real = LossWeights.select
 
-        def no_step(*args, **kwargs):
-            raise AssertionError("a training step ran")
+        def recording(self, target, checked=False):
+            selected.append((target.shape[0], checked))
+            return real(self, target, checked)
 
-        monkeypatch.setattr(models, "forward", no_step)
-        with pytest.raises(errors.NonBinaryTarget):
-            models.train_autoencoder_arms(X, AutoencoderConfig(), ("standard", "balanced"), (3,))
-        with pytest.raises(errors.NonBinaryTarget):
-            models.train_vae_arms(X, train.y, VAEConfig(), ("standard", "blended:0.3"))
-
-    def test_zero_one_check_runs_once_per_fit(self, synthetic_split, monkeypatch):
-        train, _, enc = synthetic_split
-        X = encode(train, enc)
-        checked = []
-        real = LossWeights.check
-
-        def counting(self, target):
-            checked.append(target.shape)
-            real(self, target)
-
-        monkeypatch.setattr(LossWeights, "check", counting)
+        monkeypatch.setattr(LossWeights, "select", recording)
         cfg = AutoencoderConfig(batch_size=64, seed=1)
-        models.train_autoencoder_arms(X, cfg, ("standard", "balanced", "blended:0.3"), (2, 3))
-        models.train_vae_arms(X, train.y, VAEConfig(epochs=2, batch_size=100, seed=1), ("balanced", "standard"))
-        assert checked == [X.values.shape] * 2  # once per fit on the whole matrix, never per batch
-        checked.clear()
-        models.train_autoencoder_arms(X, cfg, ("standard", "ce"), (2,))
-        assert checked == []
+        models.train_autoencoder_arms(train, enc, cfg, ("standard", "balanced", "blended:0.3"), (2, 3))
+        models.train_vae_arms(train, enc, VAEConfig(epochs=2, batch_size=100, seed=1), ("balanced", "standard"))
+        ae, vae = ([min(size, train.n - start) for start in range(0, train.n, size)] for size in (64, 100))
+        assert selected == [(rows, True) for rows in ae * 3 + vae * 2]  # short last batches included
+        selected.clear()
+        models.train_autoencoder_arms(train, enc, cfg, ("standard", "ce"), (2,))
+        assert selected == []
 
-    def test_weighted_fit_holds_no_weight_table(self):
+    def test_wide_vae_fit_holds_no_training_matrix(self):
         import tracemalloc
 
-        data = generate_synthetic("imbalanced", 12000, seed=4)
-        X = encode(data, fit_encoder(data))
+        # 300 encoded columns: 2 numerics and 12 categoricals of 20 to 30 categories
+        rng = np.random.default_rng(4)
+        cards = [20, 21, 22, 23, 24, 25, 25, 26, 27, 28, 29, 28]
+        schema = tabular.Schema(
+            (tabular.Column("a"), tabular.Column("b"))
+            + tuple(tabular.Column(f"c{i}", tuple(map(str, range(k)))) for i, k in enumerate(cards))
+        )
+        n = 4000
+        columns = {"a": rng.normal(size=n), "b": rng.random(n)}
+        columns.update({f"c{i}": np.arange(n) % k for i, k in enumerate(cards)})
+        data = Dataset(schema, columns, y=rng.normal(size=n))
+        enc = fit_encoder(data)
+        matrix_bytes = n * enc.width * 8
+        assert enc.width == 300
         tracemalloc.start()
         try:
-            models.train_vae_arms(X, data.y, VAEConfig(epochs=1, seed=3), ("standard", "balanced"))
+            models.train_vae_arms(data, enc, VAEConfig(epochs=1, seed=3), ("standard", "balanced"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # each batch takes its weights from its own 256 rows (0.52 x here, mostly
-        # the 0/1 check's boolean masks); a table of the whole matrix adds 1 x
-        assert peak < X.values.nbytes
+        # each step builds its own 256 rows and their weights from the codes (0.56 x
+        # here); an encoded training matrix held for the fit adds 1 x
+        assert peak < matrix_bytes
 
     def test_checkpoint_scores_hold_one_activation_at_a_time(self):
         import tracemalloc
 
         data = generate_synthetic("imbalanced", 12000, seed=4)
-        X = encode(data, fit_encoder(data))
+        enc = fit_encoder(data)
+        X = encode(data, enc)
         for losses in (("standard", "balanced"), ("standard", "balanced", "ce")):
             tracemalloc.start()
             try:
-                models.train_autoencoder_arms(X, AutoencoderConfig(seed=3), losses, (1,))
+                models.train_autoencoder_arms(data, enc, AutoencoderConfig(seed=3), losses, (1,))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # scoring an arm on the whole matrix holds only its output, scored and
-            # squared in place (3.5 x here with 2 arms, 3.6 x with 3); a whole trace
-            # of each half held every activation as well (5.1 x), and a copy for
-            # the scores and one for their error took 3 arms to 4.6 x
-            assert peak < 4 * X.values.nbytes, losses
+            # the fit encodes the split only to score the checkpoint (1 x, plus 0.24 x
+            # of codes held for the fit), and scoring an arm holds only its output,
+            # scored and squared in place (4.8 x here with 2 arms, 4.9 x with 3). Before
+            # the fit made its own matrix, a whole trace of each half, which held every
+            # activation as well, read 5.1 x without the matrix, and a copy for the
+            # scores and one for their error took 3 arms to 4.6 x
+            assert peak < 5 * X.values.nbytes, losses
 
     def test_no_arms_rejected(self, synthetic_split):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
         with pytest.raises(errors.ConfigError):
-            models.train_autoencoder_arms(X, AutoencoderConfig(), (), (3,))
+            models.train_autoencoder_arms(train, enc, AutoencoderConfig(), (), (3,))
         with pytest.raises(errors.ConfigError):
-            models.train_vae_arms(X, train.y, VAEConfig(), ())
+            models.train_vae_arms(train, enc, VAEConfig(), ())
 
 
 class TestTrainingLoop:
+    @pytest.mark.parametrize("batch_size", [64, 100])
+    def test_batches_equal_rows_of_the_encoded_matrix(self, synthetic_split, batch_size):
+        # each step's rows and weights, the short last batch included, are those
+        # rows of the whole encoded matrix and of its weight table, bit for bit
+        train, _, enc = synthetic_split
+        X = encode(train, enc).values
+        weights = compute_balance_weights(enc)
+        table = weights.select(X)
+        cfg = AutoencoderConfig(batch_size=batch_size, seed=2)
+        sizes = []
+        for batches in models._epochs(tabular.row_source(train, enc), train.n, cfg, weights, 2):
+            for idx, xb, wb in batches:
+                assert xb.tobytes() == X[idx].tobytes() and wb.tobytes() == table[idx].tobytes()
+                sizes.append(len(idx))
+        assert sum(sizes) == 2 * train.n and sizes[-1] == train.n % batch_size > 0
+
     def test_one_adam_step_per_batch_on_one_buffer(self, synthetic_split, monkeypatch):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
-        n = X.values.shape[0]
+        n = train.n
         calls = []
 
         def counting_adam_step(state, params, grad, lr):
@@ -289,32 +301,30 @@ class TestTrainingLoop:
             nn.adam_step(state, params, grad, lr)
 
         monkeypatch.setattr(models, "adam_step", counting_adam_step)
-        models.train_autoencoder_arms(X, AutoencoderConfig(batch_size=64, seed=1), ("standard", "balanced"), (2, 3))
+        models.train_autoencoder_arms(train, enc, AutoencoderConfig(batch_size=64, seed=1), ("standard", "balanced"), (2, 3))
         assert len(calls) == 3 * -(-n // 64)
         assert len({id(state) for state, _ in calls}) == 1
         calls.clear()
         cfg = VAEConfig(epochs=2, batch_size=100, dim_hidden=8, seed=1)
-        models.train_vae_arms(X, train.y, cfg, ("standard", "balanced"))
+        models.train_vae_arms(train, enc, cfg, ("standard", "balanced"))
         assert len(calls) == 2 * -(-n // 100)  # not six per batch, one per network
         assert len({id(state) for state, _ in calls}) == 1
-        six = build_vae(X.width, cfg.dim_hidden, cfg.dim_z, seed=0).all()
+        six = build_vae(enc.width, cfg.dim_hidden, cfg.dim_z, seed=0).all()
         assert calls[0][1].shape == (2, sum(net.params.size for net in six))
 
     def test_vae_non_finite_loss_names_arm_and_epoch(self, synthetic_split):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
         # one batch per epoch: the first step's loss is finite, the second's is not
         cfg = VAEConfig(epochs=5, batch_size=512, learning_rate=100.0, seed=1)
         with np.errstate(all="ignore"), pytest.raises(errors.NonFinite) as e:
-            models.train_vae_arms(X, train.y, cfg, ("blended:0.3", "standard"))
+            models.train_vae_arms(train, enc, cfg, ("blended:0.3", "standard"))
         assert str(e.value) == "blended:0.3 VAE loss non-finite at epoch 2"
 
     def test_autoencoder_non_finite_loss_names_arm_and_epoch(self, synthetic_split, monkeypatch):
         # the final tanh keeps the real loss finite, so the weighted arm's
         # loss is made NaN from its second epoch on
         train, _, enc = synthetic_split
-        X = encode(train, enc)
-        per_epoch = -(-X.values.shape[0] // 128)
+        per_epoch = -(-train.n // 128)
         weighted_calls = []
         real = models._weighted_mse
 
@@ -328,14 +338,14 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(models, "_weighted_mse", nan_from_epoch_2)
         with pytest.raises(errors.NonFinite) as e:
-            models.train_autoencoder_arms(X, AutoencoderConfig(seed=1), ("standard", "balanced"), (4,))
+            models.train_autoencoder_arms(train, enc, AutoencoderConfig(seed=1), ("standard", "balanced"), (4,))
         assert str(e.value) == "balanced loss became non-finite at epoch 2"
 
 
 @pytest.fixture(scope="module")
 def model(synthetic_split):
     train, _, enc = synthetic_split
-    return train_autoencoder(encode(train, enc), AutoencoderConfig(epochs=300, seed=8))
+    return train_autoencoder(train, enc, AutoencoderConfig(epochs=300, seed=8))
 
 
 class TestReconstructAndLatent:
@@ -400,12 +410,12 @@ class TestSaveLoad:
     @pytest.fixture(scope="class")
     def autoencoder(self, synthetic_split):
         train, _, enc = synthetic_split
-        return train_autoencoder(encode(train, enc), AutoencoderConfig(epochs=10, seed=9, loss="balanced"))
+        return train_autoencoder(train, enc, AutoencoderConfig(epochs=10, seed=9, loss="balanced"))
 
     @pytest.fixture(scope="class")
     def vae(self, synthetic_split):
         train, _, enc = synthetic_split
-        return train_vae(encode(train, enc), train.y, VAEConfig(epochs=6, seed=10, loss="balanced"))
+        return train_vae(train, enc, VAEConfig(epochs=6, seed=10, loss="balanced"))
 
     def test_round_trip(self, autoencoder, synthetic_split, tmp_path):
         _, test, enc = synthetic_split
@@ -604,16 +614,14 @@ class TestVaeLoss:
 @pytest.fixture(scope="module")
 def trained(synthetic_split):
     train, _, enc = synthetic_split
-    X = encode(train, enc)
-    return train_vae(X, train.y, VAEConfig(epochs=120, seed=11))
+    return train_vae(train, enc, VAEConfig(epochs=120, seed=11))
 
 
 class TestTrainVae:
     def test_deterministic(self, synthetic_split):
         train, _, enc = synthetic_split
-        X = encode(train, enc)
-        a = train_vae(X, train.y, VAEConfig(epochs=15, seed=12))
-        b = train_vae(X, train.y, VAEConfig(epochs=15, seed=12))
+        a = train_vae(train, enc, VAEConfig(epochs=15, seed=12))
+        b = train_vae(train, enc, VAEConfig(epochs=15, seed=12))
         assert all(nets_equal(x, y) for x, y in zip(a.nets.all(), b.nets.all()))
 
     def test_reconstruct_schema(self, trained, synthetic_split):
@@ -638,6 +646,12 @@ class TestTrainVae:
         with pytest.raises(errors.ConfigError):
             VAEConfig(loss="ce")
 
+    def test_missing_target_is_a_data_error(self, synthetic_split):
+        train, _, enc = synthetic_split
+        features = Dataset(train.schema, dict(train.columns))
+        with pytest.raises(errors.DataError, match="training a VAE needs a target column"):
+            train_vae(features, enc, VAEConfig(epochs=1))
+
 
 def test_generated_majority_frequencies_track_training():
     # default (standard-loss) VAE at the reference budget: generated
@@ -645,7 +659,7 @@ def test_generated_majority_frequencies_track_training():
     data = generate_synthetic("imbalanced", 2000, seed=0)
     train, _ = split(data, 0.4, seed=1)
     enc = fit_encoder(train)
-    model = train_vae(encode(train, enc), train.y, VAEConfig(epochs=1000, seed=14))
+    model = train_vae(train, enc, VAEConfig(epochs=1000, seed=14))
     gen = vae_generate(model, 4000, seed=15)
     for name in data.schema.categorical_names():
         freqs = enc.category_counts[name] / enc.n

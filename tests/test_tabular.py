@@ -428,6 +428,29 @@ def test_spans_layout_equals_the_per_feature_oracle(layout):
     assert all(same_bits(g, x) for g, x in zip((w.w_one, w.w_zero, w.is_categorical), want_weights))
 
 
+@settings(max_examples=100, deadline=None)
+@given(layouts())
+def test_row_source_rows_equal_the_encoded_matrix(layout):
+    """Rows of any index set (repeats, one row, none, every row shuffled)
+    equal those rows of the whole encoded matrix bit for bit."""
+    enc, data, rng = layout
+    whole = oracles.offset_encode(data, enc)
+    assert same_bits(tabular.encode_values(data, enc), whole)
+    rows = tabular.row_source(data, enc)
+    for idx in (rng.integers(0, data.n, 2 * data.n), rng.integers(0, data.n, 1),
+                np.arange(0), rng.permutation(data.n)):
+        assert same_bits(rows(idx), whole[idx])
+
+
+def test_row_source_numeric_cell_at_one():
+    data = Dataset(small_schema(), {"a": np.array([0.0, 2.0, 1.0, 3.0]), "b": np.array([0, 1, 1, 0])})
+    enc = fit_encoder(data.take(np.arange(3)))  # a in [0, 2]: 2.0 scales to 1.0, 3.0 clips to it
+    idx = np.array([1, 3, 1, 0])
+    got = tabular.row_source(data, enc)(idx)
+    assert same_bits(got, oracles.offset_encode(data, enc)[idx])
+    assert got.tolist() == [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+
+
 class TestReadCsvFailures:
     def test_non_utf8_file(self, tmp_path):
         p = tmp_path / "t.csv"
