@@ -20,10 +20,7 @@ from pathlib import Path
 from . import experiments, models, tabular
 from .errors import ConfigError, DataError, MixedAEError, NumericalError
 from .experiments import DataSource, ExperimentConfig
-from .models import AutoencoderConfig, VAEConfig
-
-# [experiment] model -> the config class, filled from the section of the same name
-MODEL_CONFIGS = {"autoencoder": AutoencoderConfig, "vae": VAEConfig}
+from .models import MODEL_CONFIGS, AutoencoderConfig
 
 
 def _defaults(cls, *keys: str) -> dict[str, str]:
@@ -49,8 +46,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
             ExperimentConfig, "task", "runs", "test_fraction", "epochs", "losses", "seed", "clusters"
         ),
     },
-    "autoencoder": _defaults(AutoencoderConfig, "dim_z", "batch_size", "learning_rate"),
-    "vae": _defaults(VAEConfig, "dim_hidden", "dim_z", "batch_size", "learning_rate", "epochs"),
+    "autoencoder": _defaults(MODEL_CONFIGS["autoencoder"], "dim_z", "batch_size", "learning_rate"),
+    "vae": _defaults(MODEL_CONFIGS["vae"], "dim_hidden", "dim_z", "batch_size", "learning_rate", "epochs"),
     # [train] epochs and seed are the VAE's defaults too
     "train": {"loss": AutoencoderConfig().loss.label, **_defaults(AutoencoderConfig, "epochs", "seed")},
     "output": {
@@ -174,8 +171,8 @@ def _experiment_from_config(cfg) -> ExperimentConfig:
         "experiment",
         ExperimentConfig,
         source=_source_from_config(cfg),
-        ae=_dataclass(cfg, "autoencoder", AutoencoderConfig),
-        vae=_dataclass(cfg, "vae", VAEConfig),
+        ae=_dataclass(cfg, "autoencoder", MODEL_CONFIGS["autoencoder"]),
+        vae=_dataclass(cfg, "vae", MODEL_CONFIGS["vae"]),
     )
 
 
@@ -201,8 +198,8 @@ def cmd_train(args) -> int:
     kind = _model(cfg)
 
     fields = {key: _parse(cfg, "train", key, 0) for key in ("epochs", "seed")}
-    # a dumped config carries the default, so only a set value or the flag overrides [vae] epochs
-    if kind == "vae" and args.epochs is None and cfg["train"]["epochs"] == DEFAULTS["train"]["epochs"]:
+    # a dumped config carries the default, so only another value or the flag overrides [vae] epochs
+    if kind == "vae" and args.epochs is None and fields["epochs"] == AutoencoderConfig.epochs:
         del fields["epochs"]
     # the config checks its values before the data loads
     model_cfg = _dataclass(cfg, kind, MODEL_CONFIGS[kind], loss=cfg["train"]["loss"], **fields)
@@ -224,8 +221,9 @@ def cmd_experiment(args) -> int:
     kind = _model(cfg)
     vae = kind == "vae"
     _override(cfg, "experiment", seed=args.seed, epochs=args.epochs, losses=args.loss)
-    # a dumped config carries the default, so only a set value or the flag is refused
-    if vae and (args.epochs is not None or cfg["experiment"]["epochs"] != DEFAULTS["experiment"]["epochs"]):
+    # a dumped config carries the default, so only another value or the flag (at any value) is refused
+    epochs = ExperimentConfig.epochs
+    if vae and (args.epochs is not None or _parse(cfg, "experiment", "epochs", epochs) != epochs):
         raise ConfigError("[experiment] epochs and --epochs are AE budgets; the VAE trains for [vae] epochs")
     exp_cfg = _experiment_from_config(cfg)
     jobs = args.jobs if args.jobs is not None else _parse(cfg, "output", "jobs", 0)

@@ -187,7 +187,7 @@ class DataSource:
     kind: str = "synthetic"  # synthetic | csv
     context: str = "imbalanced"
     n: int = 2000
-    coeffs: tuple[float, ...] = (1.0,) * 9
+    coeffs: tuple[float, ...] = tabular.SYNTHETIC_COEFFS
     path: str | None = None
     schema_path: str | None = None
     target: str | None = None
@@ -218,7 +218,7 @@ class ExperimentConfig:
     task: str = "regression"
     runs: int = 5
     test_fraction: float = 0.4
-    epochs: tuple[int, ...] = (1000,)
+    epochs: tuple[int, ...] = (AutoencoderConfig.epochs,)
     losses: tuple[str, ...] = ("standard", "balanced")
     seed: int = 0
     clusters: int = 4
@@ -313,8 +313,8 @@ def load_report_csv(path: str | Path) -> ExperimentReport:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             for rec in csv.DictReader(fh):
-                if None in rec.values():
-                    raise ValueError(f"data row {len(rows) + 1} has too few cells")
+                if None in rec or None in rec.values():  # cells past the header, or short of it
+                    raise ValueError(f"data row {len(rows) + 1} has too {'many' if None in rec else 'few'} cells")
                 context = rec["context"]
                 run, epochs, value = int(rec["run"]), int(rec["epochs"]), float(rec["value"])
                 rows.append(ReportRow(run, epochs, rec["loss"], rec["metric"], value))
@@ -372,10 +372,6 @@ def _downstream_metrics(
     return out
 
 
-def _needs_target(task: str) -> bool:
-    return task in ("regression", "binary", "multiclass")
-
-
 def _silhouette(points: np.ndarray, cfg: ExperimentConfig, run: int) -> float:
     return metrics.silhouette(points, kmeans(points, cfg.clusters, derive_seed(cfg.seed, run, 3)).labels)
 
@@ -397,13 +393,13 @@ def _score_autoencoder(
     enc = model.state
     recon_test = models.reconstruct(model, test)
     cell = {"msem": metrics.msem(test, recon_test, enc), "mc": metrics.mc_distance(test, recon_test)}
-    if _needs_target(cfg.task):
+    if cfg.task == "unsupervised":
+        cell["silhouette"] = _silhouette(models.latent(model, train), cfg, run)
+    else:
         recon_train = lambda: encode_values(models.reconstruct(model, train), enc)
         cell.update(_downstream_metrics(cfg.task, recon_train, train.y, test_X, test.y, "recon"))
         z_train, z_test = partial(models.latent, model, train), partial(models.latent, model, test)
         cell.update(_downstream_metrics(cfg.task, z_train, train.y, z_test, test.y, "latent"))
-    if cfg.task == "unsupervised":
-        cell["silhouette"] = _silhouette(models.latent(model, train), cfg, run)
     return cell
 
 
@@ -422,7 +418,7 @@ def _score_vae(
     the size of the train split."""
     enc = model.state
     cell = {"msem": metrics.msem(test, models.vae_reconstruct(model, test), enc)}
-    if _needs_target(cfg.task):
+    if cfg.task != "unsupervised":
         generated = models.vae_generate(model, train.n, derive_seed(cfg.seed, run, 2))
         gen_y = generated.y
         if cfg.task == "binary":
@@ -461,7 +457,7 @@ def check_experiment(kind: str, cfg: ExperimentConfig, data: Dataset | None = No
         train_n = tabular.split_sizes(n, cfg.test_fraction)[0]
         if kind == "autoencoder" and cfg.task == "unsupervised" and cfg.clusters > train_n:
             raise ConfigError(f"clusters = {cfg.clusters} exceeds the {train_n} rows of the train split")
-    if not has_target and (kind == "vae" or _needs_target(cfg.task)):  # the VAE has a target head
+    if not has_target and (kind == "vae" or cfg.task != "unsupervised"):  # the VAE has a target head
         raise DataError(f"the {kind} experiment with task {cfg.task!r} needs a target column")
     if kind == "autoencoder" and schema is not None:
         models.autoencoder_widths(schema.spans[-1].stop, cfg.ae.dim_z)

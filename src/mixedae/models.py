@@ -245,10 +245,7 @@ def train_autoencoder_arms(
         if epoch in logged:
             X = rows()
             for i, arm in enumerate(arms):
-                phi_i, psi_i = halves(i)
-                scores = _scores_from_output(
-                    forward_output(psi_i, forward_output(phi_i, X)), arm.loss, groups
-                )
+                scores = _scores_from_output(forward_output(net.arm(i), X), arm.loss, groups)
                 errors[i][epoch] = np.mean(np.square(np.subtract(scores, X, out=scores), out=scores), axis=0)
             del X, scores
         if epoch in checkpoints:
@@ -305,6 +302,10 @@ class VAEConfig(AutoencoderConfig):
             raise ConfigError(f"dim_hidden must be >= 1, got {self.dim_hidden}")
         if self.loss.kind == "ce":
             raise ConfigError("the VAE supports standard/balanced/blended losses only")
+
+
+# model kind -> its config class; the CLI fills it from the config section of the same name
+MODEL_CONFIGS = {"autoencoder": AutoencoderConfig, "vae": VAEConfig}
 
 
 @dataclass
@@ -543,7 +544,7 @@ def load_model(path: str | Path) -> TrainedAutoencoder | TrainedVAE:
         state = tabular.encoder_from_dict(header["encoder_state"])
         if header["schema_hash"] != tabular.schema_hash(state.schema):
             raise ValueError("schema_hash does not match the encoder state's schema")
-        cfg = (VAEConfig if kind == "vae" else AutoencoderConfig)(**header["config"])
+        cfg = MODEL_CONFIGS[kind](**header["config"])
         if kind == "autoencoder":
             return TrainedAutoencoder(nets[0], nets[1], state, cfg, curves=None)
         y_lo, y_hi = header["y_range"]

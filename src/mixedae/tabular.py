@@ -501,6 +501,8 @@ _CONTEXT_INDICATORS: dict[str, tuple[tuple[str, str], ...]] = {
 _CONTEXT_INDICATORS["majority"] = _CONTEXT_INDICATORS["balanced"]
 
 Y_NOISE_STD = 0.5
+# The target's linear coefficients: X1..X3, then the six indicators above.
+SYNTHETIC_COEFFS = (1.0,) * 9
 
 
 def synthetic_schema() -> Schema:
@@ -516,7 +518,7 @@ def generate_synthetic(
     context: str,
     n: int,
     seed: int,
-    coeffs: tuple[float, ...] | None = None,
+    coeffs: tuple[float, ...] = SYNTHETIC_COEFFS,
 ) -> Dataset:
     """Draw the 3-numeric / 5-categorical benchmark sample with target.
 
@@ -524,7 +526,7 @@ def generate_synthetic(
     of features selected by ``context``: "imbalanced" loads the numerics
     plus minority categories, "balanced" the numerics plus majority
     categories, and "majority" the majority categories only. ``coeffs``
-    supplies the nine linear coefficients (default all 1.0).
+    supplies the nine linear coefficients.
 
     Draw order is fixed (X1, X2, X3, Q1..Q5, noise), so a seed pins
     every value bit-for-bit.
@@ -533,7 +535,6 @@ def generate_synthetic(
         raise InvalidContext(f"context must be one of {CONTEXTS}, got {context!r}")
     if n < 1:
         raise DataError("n must be >= 1")
-    coeffs = tuple(coeffs) if coeffs is not None else (1.0,) * 9
     if len(coeffs) != 9:
         raise DataError(f"coeffs must have length 9, got {len(coeffs)}")
 

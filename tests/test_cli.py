@@ -268,6 +268,22 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg), *flags) == 0
         assert load_model(out / "model.ckpt").config.epochs == epochs
 
+    @pytest.mark.parametrize("text, epochs", [("1000", 3), ("1000,", None), ("01000", 3), ("5", 5)])
+    def test_vae_train_epochs_compare_as_values(self, tmp_path, capsys, text, epochs):
+        # [train] epochs at its default, however written, leaves the budget to [vae] epochs
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(
+            "[data]\nn = 300\n[experiment]\nmodel = vae\n[vae]\nepochs = 3\n"
+            f"[train]\nepochs = {text}\n[output]\ndir = {tmp_path / 'vae'}\n"
+        )
+        with mock.patch.object(models, "train_vae", wraps=models.train_vae) as train_vae:
+            code = run_cli("train", "--config", str(cfg))
+        if epochs is None:  # not an integer
+            assert code == 2 and "[train] epochs must be an integer" in capsys.readouterr().err
+        else:
+            assert code == 0
+        assert [call.args[2].epochs for call in train_vae.call_args_list] == ([epochs] if epochs else [])
+
     def test_unknown_model_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "train.ini"
         cfg.write_text(f"[experiment]\nmodel = vea\n[output]\ndir = {tmp_path / 'out'}\n")
@@ -400,6 +416,14 @@ class TestExperiment:
             assert run_cli("experiment", "--config", str(in_file), *extra) == 2
             assert "[vae] epochs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, default", [("1000", True), ("1000,", True), ("01000", True), ("5", False)])
+    def test_vae_epochs_rule_compares_values(self, tmp_path, capsys, text, default):
+        # [experiment] epochs at its default, however written, is not a budget the VAE refuses
+        cfg = tmp_path / "vae.ini"
+        cfg.write_text(f"[experiment]\nmodel = vae\nepochs = {text}\n[vae]\nepochs = 3\n")
+        assert run_cli("experiment", "--config", str(cfg), "--dry-run") == (0 if default else 2)
+        assert ("[vae] epochs" in capsys.readouterr().err) is not default
 
     def test_vae_non_finite_loss_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "vae.ini"
@@ -714,8 +738,9 @@ class TestReport:
             (b"run,context,epochs,loss,metric,value\n0,x,abc,standard,msem,0.5\n", "ValueError"),
             (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem,0.5\xff\n", "UnicodeDecodeError"),
             (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem\n", "too few cells"),
+            (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem,0.5,EXTRA\n", "too many cells"),
         ],
-        ids=["missing-column", "bad-epochs", "non-utf8", "short-row"],
+        ids=["missing-column", "bad-epochs", "non-utf8", "short-row", "long-row"],
     )
     def test_malformed_file_is_a_data_error(self, tmp_path, capsys, content, error):
         path = tmp_path / "report.csv"

@@ -259,8 +259,10 @@ class TestLockstepArms:
             finally:
                 tracemalloc.stop()
             # the fit encodes the split only to score the checkpoint (1 x, plus 0.24 x
-            # of codes held for the fit), and scoring an arm holds only its output,
-            # scored and squared in place (4.8 x here with 2 arms, 4.9 x with 3). Before
+            # of codes held for the fit), and scoring an arm runs its whole network and
+            # holds only its output, scored and squared in place (4.5 x here with 2 arms,
+            # 4.8 x with 3; chaining the encoder into the decoder read 4.8 x and 4.9 x,
+            # since the caller kept the n x dim_z latents alive). Before
             # the fit made its own matrix, a whole trace of each half, which held every
             # activation as well, read 5.1 x without the matrix, and a copy for the
             # scores and one for their error took 3 arms to 4.6 x
