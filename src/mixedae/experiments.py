@@ -230,8 +230,8 @@ class ExperimentConfig:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if not self.epochs or min(self.epochs) < 1:
-            raise ConfigError(f"epochs must list at least one budget, each >= 1, got {self.epochs}")
+        if not self.epochs or min(self.epochs) < 1 or len(set(self.epochs)) < len(self.epochs):
+            raise ConfigError(f"epochs must list at least one budget, each >= 1, none twice, got {self.epochs}")
         if self.task in ("binary", "multiclass") and self.source.kind == "synthetic":
             raise ConfigError(f"task {self.task} needs class targets; synthetic ones are continuous")
         for loss in self.losses:
@@ -308,7 +308,7 @@ class ExperimentReport:
 
 def load_report_csv(path: str | Path) -> ExperimentReport:
     """Read ``report.csv``; an unreadable or malformed file raises :class:`DataError`."""
-    rows = []
+    rows, keys = [], set()
     context = ""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -316,9 +316,14 @@ def load_report_csv(path: str | Path) -> ExperimentReport:
                 if None in rec or None in rec.values():  # cells past the header, or short of it
                     raise ValueError(f"data row {len(rows) + 1} has too {'many' if None in rec else 'few'} cells")
                 context = rec["context"]
-                run, epochs, value = int(rec["run"]), int(rec["epochs"]), float(rec["value"])
-                rows.append(ReportRow(run, epochs, rec["loss"], rec["metric"], value))
-    except (OSError, ValueError, KeyError, csv.Error) as e:  # non-UTF-8 is a ValueError
+                row = ReportRow(int(rec["run"]), int(rec["epochs"]), rec["loss"], rec["metric"], float(rec["value"]))
+                if (key := (row.run, row.epochs, row.loss, row.metric)) in keys:  # it would count twice
+                    raise ValueError(f"data row {len(rows) + 1} repeats run, epochs, loss and metric {key}")
+                keys.add(key)
+                rows.append(row)
+    except KeyError as e:
+        raise DataError(f"cannot read report {path}: its header has no {e.args[0]!r} column") from e
+    except (OSError, ValueError, csv.Error) as e:  # non-UTF-8 is a ValueError
         raise DataError(f"cannot read report {path}: {e!r}") from e
     return ExperimentReport(context, rows)
 

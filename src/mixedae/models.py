@@ -493,23 +493,35 @@ def vae_generate(model: TrainedVAE, count: int, seed: int) -> Dataset:
     category of its latent region and badly distorts generated category
     frequencies. Numerics and the target are unscaled through the
     training ranges.
+
+    The networks see all ``count`` rows at once, since BLAS can give a
+    row other last bits in a matrix of another height; the score matrix
+    is then decoded and sampled ``config.batch_size`` rows at a time,
+    every uniform drawn beforehand in the whole-matrix order (z, then
+    one per row for each categorical variable in turn).
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
     rng = make_rng(seed)
-    z = gaussian(rng, (count, model.config.dim_z))
-    h3 = forward_output(model.nets.hl3, z)
-    x_scores = forward_output(model.nets.hl41, h3)
-    y_scaled = forward_output(model.nets.hl42, h3)[:, 0]
+    h3 = forward_output(model.nets.hl3, gaussian(rng, (count, model.config.dim_z)))
     enc = model.state
-    cols = dict(decode(EncodedMatrix(x_scores, enc), enc).columns)
-    for name, g in zip(enc.schema.categorical_names(), enc.categorical_groups()):
-        s = np.clip(x_scores[:, g], 1e-9, None)
-        s /= s.sum(axis=1, keepdims=True)
-        u = rng.random(count)
-        cols[name] = np.minimum((np.cumsum(s, axis=1, out=s) < u[:, None]).sum(axis=1), len(g) - 1)
+    groups = enc.categorical_groups()
+    draws = [rng.random(count) for _ in groups]
     y_lo, y_hi = model.y_range
-    return Dataset(enc.schema, cols, y=y_lo + y_scaled * (y_hi - y_lo))
+    y = y_lo + forward_output(model.nets.hl42, h3)[:, 0] * (y_hi - y_lo)
+    # made before the score matrix, so that its space is left whole when it is freed
+    cols = {c.name: np.empty(count, np.int64 if c.is_categorical else np.float64) for c in enc.schema.columns}
+    x_scores = forward_output(model.nets.hl41, h3)
+    del h3  # not held while the blocks are read
+    for start in range(0, count, model.config.batch_size):
+        rows = slice(start, start + model.config.batch_size)
+        for name, v in decode(EncodedMatrix(x_scores[rows], enc), enc).columns.items():
+            cols[name][rows] = v
+        for name, g, u in zip(enc.schema.categorical_names(), groups, draws):
+            s = np.clip(x_scores[rows, g], 1e-9, None)
+            s /= s.sum(axis=1, keepdims=True)
+            cols[name][rows] = np.minimum((np.cumsum(s, axis=1, out=s) < u[rows, None]).sum(axis=1), len(g) - 1)
+    return Dataset(enc.schema, cols, y=y)
 
 
 # ----------------------------------------------------------------------

@@ -296,6 +296,34 @@ def separate_vae(train, y, cfg):
 
 
 # ----------------------------------------------------------------------
+# vae_generate as it was before it decoded and sampled its score matrix in
+# row blocks: the whole matrix at once. The package's must match it bit for
+# bit, the generator's final state included.
+# ----------------------------------------------------------------------
+
+def whole_vae_generate(model, count, seed):
+    """The generated dataset, and the generator as the draws left it."""
+    from mixedae.nn import forward_output
+    from mixedae.rng import gaussian, make_rng
+    from mixedae.tabular import Dataset, EncodedMatrix, decode
+
+    rng = make_rng(seed)
+    z = gaussian(rng, (count, model.config.dim_z))
+    h3 = forward_output(model.nets.hl3, z)
+    x_scores = forward_output(model.nets.hl41, h3)
+    y_scaled = forward_output(model.nets.hl42, h3)[:, 0]
+    enc = model.state
+    cols = dict(decode(EncodedMatrix(x_scores, enc), enc).columns)
+    for name, g in zip(enc.schema.categorical_names(), enc.categorical_groups()):
+        s = np.clip(x_scores[:, g], 1e-9, None)
+        s /= s.sum(axis=1, keepdims=True)
+        u = rng.random(count)
+        cols[name] = np.minimum((np.cumsum(s, axis=1, out=s) < u[:, None]).sum(axis=1), len(g) - 1)
+    y_lo, y_hi = model.y_range
+    return Dataset(enc.schema, cols, y=y_lo + y_scaled * (y_hi - y_lo)), rng
+
+
+# ----------------------------------------------------------------------
 # The metric and proxy kernels as they were written before the shared
 # level helper (np.unique, np.add.at, the full distance matrix and the
 # masked sigmoid). The kernels in mixedae must match these bit for bit.

@@ -339,6 +339,8 @@ class TestExperiment:
             "[experiment]\nseed = -1\n",
             "[experiment]\nlosses = standard,standard\n",
             "[experiment]\nlosses = balanced,standard,balanced\n",
+            "[experiment]\nepochs = 5,5\n",
+            "[experiment]\nepochs = 5,2,05\n",
             "[autoencoder]\nlearning_rate = -1\n",
             "[autoencoder]\nlearning_rate = 0\n",
             "[autoencoder]\nlearning_rate = nan\n",
@@ -373,6 +375,8 @@ class TestExperiment:
             ["experiment", "--seed", "-1", "--epochs", "1"],
             ["experiment", "--jobs", "0", "--dry-run"],
             ["experiment", "--jobs", "-7", "--epochs", "1"],
+            ["experiment", "--epochs", "2,2", "--dry-run"],
+            ["experiment", "--epochs", "3,1,3"],
         ],
     )
     def test_negative_seeds_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, argv):
@@ -734,13 +738,16 @@ class TestReport:
     @pytest.mark.parametrize(
         "content, error",
         [
-            (b"run,context,epochs,metric,value\n0,x,10,msem,0.5\n", "KeyError"),
+            (b"run,context,epochs,metric,value\n0,x,10,msem,0.5\n", "its header has no 'loss' column"),
+            (b"run,epochs,loss,metric,value\n0,10,standard,msem,0.5\n", "its header has no 'context' column"),
             (b"run,context,epochs,loss,metric,value\n0,x,abc,standard,msem,0.5\n", "ValueError"),
             (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem,0.5\xff\n", "UnicodeDecodeError"),
             (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem\n", "too few cells"),
             (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem,0.5,EXTRA\n", "too many cells"),
+            (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem,0.5\n1,x,10,standard,msem,0.5\n"
+             b"0,x,10,standard,msem,0.7\n", "data row 3 repeats run, epochs, loss and metric (0, 10, 'standard', 'msem')"),
         ],
-        ids=["missing-column", "bad-epochs", "non-utf8", "short-row", "long-row"],
+        ids=["missing-column", "missing-context", "bad-epochs", "non-utf8", "short-row", "long-row", "repeated-row"],
     )
     def test_malformed_file_is_a_data_error(self, tmp_path, capsys, content, error):
         path = tmp_path / "report.csv"

@@ -183,10 +183,11 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, jobs=2)
         assert serial.rows == parallel.rows
 
-    def test_duplicate_budgets_repeat_rows(self, tiny_report):
-        rep = run_experiment(tiny_config(epochs=(30, 30)))
-        assert rep.rows == sorted(tiny_report.rows + [r for r in tiny_report.rows if r.epochs == 30],
-                                  key=lambda r: (r.run, r.epochs, r.loss, r.metric))
+    def test_repeated_budget_rejected(self):
+        # a repeated budget would write its rows twice, and the mean and std would count them twice
+        for epochs in ((30, 30), (10, 30, 10)):
+            with pytest.raises(errors.ConfigError, match="none twice"):
+                tiny_config(epochs=epochs)
 
     def test_empty_or_non_positive_epochs_rejected(self):
         for epochs in ((), (0,), (100, -5)):

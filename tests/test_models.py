@@ -1,7 +1,11 @@
 """Autoencoder and VAE construction, training, and sampling tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixedae.models as models
 from mixedae import errors, metrics, nn, tabular
@@ -25,7 +29,7 @@ from mixedae.models import (
     vae_reconstruct,
 )
 from mixedae.rng import make_rng
-from oracles import chained_autoencoder_budgets, same_dataset, separate_vae
+from oracles import chained_autoencoder_budgets, same_dataset, separate_vae, whole_vae_generate
 from mixedae.tabular import (
     Dataset,
     encode,
@@ -48,6 +52,19 @@ def nets_equal(a, b):
         np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
         for la, lb in zip(a.layers, b.layers)
     )
+
+
+def wide_data(n=4000):
+    """n rows of 300 encoded columns: 2 numerics and 12 categoricals of 20 to 30 categories."""
+    rng = np.random.default_rng(4)
+    cards = [20, 21, 22, 23, 24, 25, 25, 26, 27, 28, 29, 28]
+    schema = tabular.Schema(
+        (tabular.Column("a"), tabular.Column("b"))
+        + tuple(tabular.Column(f"c{i}", tuple(map(str, range(k)))) for i, k in enumerate(cards))
+    )
+    columns = {"a": rng.normal(size=n), "b": rng.random(n)}
+    columns.update({f"c{i}": np.arange(n) % k for i, k in enumerate(cards)})
+    return Dataset(schema, columns, y=rng.normal(size=n))
 
 
 class TestParseLoss:
@@ -221,19 +238,9 @@ class TestLockstepArms:
     def test_wide_vae_fit_holds_no_training_matrix(self):
         import tracemalloc
 
-        # 300 encoded columns: 2 numerics and 12 categoricals of 20 to 30 categories
-        rng = np.random.default_rng(4)
-        cards = [20, 21, 22, 23, 24, 25, 25, 26, 27, 28, 29, 28]
-        schema = tabular.Schema(
-            (tabular.Column("a"), tabular.Column("b"))
-            + tuple(tabular.Column(f"c{i}", tuple(map(str, range(k)))) for i, k in enumerate(cards))
-        )
-        n = 4000
-        columns = {"a": rng.normal(size=n), "b": rng.random(n)}
-        columns.update({f"c{i}": np.arange(n) % k for i, k in enumerate(cards)})
-        data = Dataset(schema, columns, y=rng.normal(size=n))
+        data = wide_data()
         enc = fit_encoder(data)
-        matrix_bytes = n * enc.width * 8
+        matrix_bytes = data.n * enc.width * 8
         assert enc.width == 300
         tracemalloc.start()
         try:
@@ -653,6 +660,57 @@ class TestTrainVae:
         features = Dataset(train.schema, dict(train.columns))
         with pytest.raises(errors.DataError, match="training a VAE needs a target column"):
             train_vae(features, enc, VAEConfig(epochs=1))
+
+
+def generate_like_whole_matrix(model, count, seed, monkeypatch):
+    """Whether ``vae_generate`` equals the whole-matrix pass bit for bit and leaves its
+    generator where that pass leaves it."""
+    made = []
+    monkeypatch.setattr(models, "make_rng", lambda s: made.append(make_rng(s)) or made[-1])
+    got = vae_generate(model, count, seed)
+    want, want_rng = whole_vae_generate(model, count, seed)
+    return same_dataset(got, want) and made[0].bit_generator.state == want_rng.bit_generator.state
+
+
+class TestGenerateInRowBlocks:
+    @pytest.mark.parametrize("batch_size", [256, 7])
+    def test_equals_the_whole_matrix_pass(self, trained, batch_size, monkeypatch):
+        model = dataclasses.replace(trained, config=dataclasses.replace(trained.config, batch_size=batch_size))
+        b = batch_size
+        for n in (1, b - 1, b, b + 1, 2 * b + 3):
+            assert generate_like_whole_matrix(model, n, 13, monkeypatch), n
+
+    def test_wide_model_equals_the_whole_matrix_pass(self, monkeypatch):
+        data = wide_data(600)
+        enc = fit_encoder(data)
+        model = train_vae(data, enc, VAEConfig(epochs=2, seed=6))
+        for n in (1, 255, 256, 257, 515):
+            assert generate_like_whole_matrix(model, n, 17, monkeypatch), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(1, 700), batch_size=st.integers(1, 300), seed=st.integers(0, 2**32))
+    def test_any_block_size_equals_the_whole_matrix_pass(self, trained, count, batch_size, seed):
+        model = dataclasses.replace(trained, config=dataclasses.replace(trained.config, batch_size=batch_size))
+        with pytest.MonkeyPatch.context() as mp:
+            assert generate_like_whole_matrix(model, count, seed, mp)
+
+    def test_holds_one_score_matrix(self):
+        import tracemalloc
+
+        data = wide_data()
+        enc = fit_encoder(data)
+        model = models.TrainedVAE(build_vae(enc.width, 20, 10, 3), enc, VAEConfig(), (0.0, 1.0))
+        tracemalloc.start()
+        try:
+            vae_generate(model, data.n, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the networks run over all 4000 rows at once (a row's BLAS bits can depend on
+        # the matrix it sits in), so the 4000 x 300 score matrix is whole: 1.17 x with
+        # the uniforms and the output columns beside it. Sampled whole, with each
+        # variable's copy, its clipped copy and the previous variable's, it read 1.44 x
+        assert peak < 1.25 * data.n * enc.width * 8
 
 
 def test_generated_majority_frequencies_track_training():
