@@ -234,9 +234,8 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must list at least one budget, each >= 1, none twice, got {self.epochs}")
         if self.task in ("binary", "multiclass") and self.source.kind == "synthetic":
             raise ConfigError(f"task {self.task} needs class targets; synthetic ones are continuous")
-        for loss in self.losses:
-            parse_loss(loss)  # validates
-        if not self.losses or len(set(self.losses)) < len(self.losses):
+        specs = {parse_loss(loss) for loss in self.losses}  # validates; blended:0.3 is blended:0.30
+        if not self.losses or len(specs) < len(self.losses):
             raise ConfigError(f"losses must list at least one loss, none twice, got {self.losses}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -321,6 +320,8 @@ def load_report_csv(path: str | Path) -> ExperimentReport:
                     raise ValueError(f"data row {len(rows) + 1} repeats run, epochs, loss and metric {key}")
                 keys.add(key)
                 rows.append(row)
+        if not rows:  # a 0-byte file, or a header alone
+            raise ValueError("it has no data rows")
     except KeyError as e:
         raise DataError(f"cannot read report {path}: its header has no {e.args[0]!r} column") from e
     except (OSError, ValueError, csv.Error) as e:  # non-UTF-8 is a ValueError

@@ -240,8 +240,9 @@ def train_autoencoder_arms(
                         pred /= _SPAN
                     if not np.isfinite(value):
                         raise NonFinite(f"{arm.loss.label} loss became non-finite at epoch {epoch}")
-                adam_step(opt, net.params, backward(net, trace, d_out, need_input=False).flat,
-                          cfg.learning_rate)
+                grad = np.empty_like(net.params)  # made after the losses: made before forward, it trained slower
+                backward(net, trace, d_out, grad, need_input=False)
+                adam_step(opt, net.params, grad, cfg.learning_rate)
         if epoch in logged:
             X = rows()
             for i, arm in enumerate(arms):
@@ -457,16 +458,15 @@ def train_vae_arms(
                 # made after the losses: the AE trained slower with its gradient made before forward
                 grad = np.empty_like(params)
                 d1, d21, d22, d3, d41, d42 = (grad[..., span] for span in spans)
-                g41 = backward(nets.hl41, t_x, gx, out=d41)
-                g42 = backward(nets.hl42, t_y, gy, out=d42)
+                g41 = backward(nets.hl41, t_x, gx, d41)
+                g42 = backward(nets.hl42, t_y, gy, d42)
                 del t_x, gx  # frees the (M, B, p) head buffer before the next step
-                g3 = backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input, out=d3)
-                dz = g3.wrt_input
+                dz = backward(nets.hl3, t3, g41 + g42, d3)
                 d_mu = dz + g_mu_kl
                 d_lv = dz * eps * 0.5 * np.exp(0.5 * logvar) + g_lv_kl
-                g21 = backward(nets.hl21, t_mu, d_mu, out=d21)
-                g22 = backward(nets.hl22, t_lv, d_lv, out=d22)
-                backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input, need_input=False, out=d1)
+                g21 = backward(nets.hl21, t_mu, d_mu, d21)
+                g22 = backward(nets.hl22, t_lv, d_lv, d22)
+                backward(nets.hl1, t1, g21 + g22, d1, need_input=False)
                 adam_step(opt, params, grad, cfg.learning_rate)
 
     return [

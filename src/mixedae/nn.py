@@ -3,11 +3,11 @@
 Everything is float64 numpy. A network's layers are views into one
 ``params`` vector (several networks can share one: :meth:`Network.share`),
 so Adam updates a model whole. Forward returns the full activation trace so
-backward can run the chain rule without recomputation. ``backward`` also
-returns the gradient with respect to the batch input, which is how the VAE
-pieces are chained. A stacked network (:meth:`Network.stack`) holds M
-networks of one shape on a leading axis; one call serves all M, each bit
-for bit as alone.
+backward can run the chain rule without recomputation. ``backward`` fills
+the caller's gradient buffer and returns the gradient w.r.t. the batch input,
+which is how the VAE pieces are chained. A stacked network (:meth:`Network.stack`)
+holds M networks of one shape on a leading axis; one call serves all M, each
+bit for bit as alone.
 """
 
 from __future__ import annotations
@@ -114,15 +114,6 @@ class Trace:
         return self.activations[-1]
 
 
-@dataclass
-class Gradients:
-    """(dW, db) per layer plus the gradient w.r.t. the batch input."""
-
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    wrt_input: np.ndarray | None  # None when backward skipped it
-    flat: np.ndarray  # what ``layers`` views, laid out like params
-
-
 def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     if len(dims) < 2:
@@ -143,10 +134,10 @@ def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
     return Network(layers)
 
 
-def _activations(net: Network, batch: np.ndarray):
+def _activations(net: Network, a: np.ndarray):
     """The B x in batch (M x B x in for a stacked network), then each layer's activation.
     W is read as a transposed view, so BLAS runs each arm's plain-network kernel."""
-    a = np.asarray(batch, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)  # the one name for the batch: the first layer lets it go
     if a.ndim < 2 or a.shape[:-2] not in ((), net.params.shape[:-1]) or a.shape[-1] != net.in_width:
         raise ShapeError(f"expected B x {net.in_width} batch, got {a.shape}")
     yield a
@@ -165,22 +156,23 @@ def forward(net: Network, batch: np.ndarray) -> Trace:
 
 def forward_output(net: Network, batch: np.ndarray) -> np.ndarray:
     """``forward(net, batch).output``, holding no more than two activations at once."""
-    for a in _activations(net, batch):
+    layers = _activations(net, batch)
+    del batch
+    for a in layers:
         pass
     return a
 
 
-def backward(net: Network, trace: Trace, d_output: np.ndarray, need_input: bool = True,
-             out: np.ndarray | None = None) -> Gradients:
-    """Exact gradients of the scalar loss whose output-gradient is supplied, into
-    ``out`` if given; ``need_input=False`` skips the input gradient (``wrt_input`` is None)."""
+def backward(net: Network, trace: Trace, d_output: np.ndarray, out: np.ndarray,
+             need_input: bool = True) -> np.ndarray | None:
+    """Exact gradients of the scalar loss whose output-gradient is supplied. The parameter
+    gradient fills ``out`` (laid out like ``params``); the input gradient, if ``need_input``, is returned."""
     d_output = np.asarray(d_output, dtype=np.float64)
     if d_output.shape != trace.output.shape:
         raise ShapeError(
             f"d_output shape {d_output.shape} != output shape {trace.output.shape}"
         )
-    flat = np.empty_like(net.params) if out is None else out
-    grads = net.layer_views(flat)
+    grads = net.layer_views(out)
     delta = d_output
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
@@ -193,7 +185,7 @@ def backward(net: Network, trace: Trace, d_output: np.ndarray, need_input: bool 
         np.sum(delta, axis=-2, out=db)
         if k or need_input:
             delta = np.matmul(delta, layer.W)
-    return Gradients(grads, delta if need_input else None, flat)
+    return delta if need_input else None
 
 
 @dataclass

@@ -14,6 +14,8 @@ releases and platforms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -31,13 +33,13 @@ def derive_seed(seed: int, *path: int) -> int:
 def gaussian(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """Standard normal draws via Box-Muller on the uniform stream."""
     shape = (size,) if isinstance(size, int) else tuple(size)
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(shape)
     m = (n + 1) // 2
     # 1 - U lies in (0, 1], keeping the log finite.
     u1 = 1.0 - rng.random(m)
-    u2 = rng.random(m)
+    angle = 2.0 * np.pi * rng.random(m)
     r = np.sqrt(-2.0 * np.log(u1))
     z = np.empty(2 * m)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
+    z[0::2] = r * np.cos(angle)
+    z[1::2] = r * np.sin(angle)
     return z[:n].reshape(shape)

@@ -106,6 +106,14 @@ def reference_forward_backward(layers, x, d_out):
     return acts[1:], grads, delta
 
 
+def gradients(net, trace, d_out, need_input=True):
+    """``nn.backward`` into a fresh buffer: (flat parameter gradient, input gradient)."""
+    from mixedae import nn
+
+    flat = np.empty_like(net.params)
+    return flat, nn.backward(net, trace, d_out, flat, need_input)
+
+
 class LayerwiseAdam:
     """Adam with bias correction, applied array by array to each layer's
     W and b in place: the per-layer loop the flat update must match."""
@@ -234,10 +242,10 @@ def chained_autoencoder_budgets(train, cfg, budgets, weights=None):
             pred = (o - models.OUT_LOW) / span if use_adapter else o
             _, d_pred = loss_fn(pred, xb)
             d_out = d_pred / span if use_adapter else d_pred
-            g_psi = nn.backward(psi, t_psi, d_out)
-            g_phi = nn.backward(phi, t_phi, g_psi.wrt_input)
-            nn.adam_step(opt_phi, phi.params, g_phi.flat, cfg.learning_rate)
-            nn.adam_step(opt_psi, psi.params, g_psi.flat, cfg.learning_rate)
+            g_psi, d_phi = gradients(psi, t_psi, d_out)
+            g_phi, _ = gradients(phi, t_phi, d_phi)
+            nn.adam_step(opt_phi, phi.params, g_phi, cfg.learning_rate)
+            nn.adam_step(opt_psi, psi.params, g_psi, cfg.learning_rate)
         if epoch in logged:
             o = nn.forward(psi, nn.forward(phi, X).output).output
             scores = models._scores_from_output(o, cfg.loss, groups)
@@ -281,17 +289,16 @@ def separate_vae(train, y, cfg):
             _, (gx, gy, g_mu_kl, g_lv_kl) = frozen_vae_loss(
                 t_x.output, xb, t_y.output, yb, mu, logvar, weights, cfg.loss
             )
-            g41 = nn.backward(nets.hl41, t_x, gx)
-            g42 = nn.backward(nets.hl42, t_y, gy)
-            g3 = nn.backward(nets.hl3, t3, g41.wrt_input + g42.wrt_input)
-            dz = g3.wrt_input
+            g41, d41 = gradients(nets.hl41, t_x, gx)
+            g42, d42 = gradients(nets.hl42, t_y, gy)
+            g3, dz = gradients(nets.hl3, t3, d41 + d42)
             d_mu = dz + g_mu_kl
             d_lv = dz * eps * 0.5 * np.exp(0.5 * logvar) + g_lv_kl
-            g21 = nn.backward(nets.hl21, t_mu, d_mu)
-            g22 = nn.backward(nets.hl22, t_lv, d_lv)
-            g1 = nn.backward(nets.hl1, t1, g21.wrt_input + g22.wrt_input)
+            g21, d21 = gradients(nets.hl21, t_mu, d_mu)
+            g22, d22 = gradients(nets.hl22, t_lv, d_lv)
+            g1, _ = gradients(nets.hl1, t1, d21 + d22)
             for net, opt, g in zip(nets.all(), opts, [g1, g21, g22, g3, g41, g42]):
-                nn.adam_step(opt, net.params, g.flat, cfg.learning_rate)
+                nn.adam_step(opt, net.params, g, cfg.learning_rate)
     return nets
 
 

@@ -339,6 +339,7 @@ class TestExperiment:
             "[experiment]\nseed = -1\n",
             "[experiment]\nlosses = standard,standard\n",
             "[experiment]\nlosses = balanced,standard,balanced\n",
+            "[experiment]\nlosses = blended:0.3,blended:0.30\n",
             "[experiment]\nepochs = 5,5\n",
             "[experiment]\nepochs = 5,2,05\n",
             "[autoencoder]\nlearning_rate = -1\n",
@@ -746,8 +747,11 @@ class TestReport:
             (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem,0.5,EXTRA\n", "too many cells"),
             (b"run,context,epochs,loss,metric,value\n0,x,10,standard,msem,0.5\n1,x,10,standard,msem,0.5\n"
              b"0,x,10,standard,msem,0.7\n", "data row 3 repeats run, epochs, loss and metric (0, 10, 'standard', 'msem')"),
+            (b"", "it has no data rows"),
+            (b"run,context,epochs,loss,metric,value\n", "it has no data rows"),
         ],
-        ids=["missing-column", "missing-context", "bad-epochs", "non-utf8", "short-row", "long-row", "repeated-row"],
+        ids=["missing-column", "missing-context", "bad-epochs", "non-utf8", "short-row", "long-row", "repeated-row",
+             "empty", "header-only"],
     )
     def test_malformed_file_is_a_data_error(self, tmp_path, capsys, content, error):
         path = tmp_path / "report.csv"

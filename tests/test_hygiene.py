@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mixedae"
@@ -286,3 +288,34 @@ def test_readme_dotted_names_resolve():
         except AttributeError:
             missing.append(name)
     assert len(names) >= 16 and missing == []
+
+
+def test_benchmark_tracer_counts_a_training_step():
+    """The benchmark's tracer, loaded from ``perfbench/tracing.py`` unchanged,
+    counts calls and flops around real fits and k-means, and ``uninstall``
+    puts every original back. Its flop counter reads ``backward``'s ``(net,
+    trace)`` and ``trace.activations``, so a change there fails here first."""
+    import mixedae.cli  # noqa: F401  # the tracer wraps every layer, cli included
+    from mixedae import experiments, models
+    from mixedae.tabular import fit_encoder, generate_synthetic
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = [m for n, m in sys.modules.items() if m is not None and n.startswith("mixedae")]
+    before = [dict(vars(m)) for m in modules] + [dict(vars(experiments.ExperimentReport))]
+
+    data = generate_synthetic("imbalanced", 300, seed=0)
+    enc = fit_encoder(data)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        models.train_autoencoder_arms(data, enc, models.AutoencoderConfig(seed=1), ("standard", "balanced"), (1,))
+        models.train_vae_arms(data, enc, models.VAEConfig(epochs=1, seed=1), ("standard",))
+        experiments.kmeans(np.random.default_rng(0).random((50, 2)), 3, seed=0)
+    finally:
+        tracer.uninstall()
+    assert all(tracer.calls[f"nn.{fn}"] > 0 for fn in ("forward", "backward", "adam_step"))
+    assert tracer.counts["nn.flops"] > 0 and tracer.counts["experiments.kmeans.iterations"] > 0
+    after = [dict(vars(m)) for m in modules] + [dict(vars(experiments.ExperimentReport))]
+    assert all(a.keys() == b.keys() and all(a[k] is b[k] for k in a) for a, b in zip(after, before))

@@ -12,7 +12,7 @@ from mixedae.errors import DimensionError, MixedAEError, ShapeError
 from mixedae.losses import mse_loss
 from mixedae.rng import make_rng
 
-from oracles import LayerwiseAdam, reference_forward_backward
+from oracles import LayerwiseAdam, gradients, reference_forward_backward
 
 
 def finite_difference_grads(net, x, target, h=1e-5):
@@ -121,9 +121,9 @@ class TestBackward:
     def test_zero_output_gradient(self):
         net = nn.init_network([3, 4, 2], [nn.TANH, nn.TANH], seed=3)
         trace = nn.forward(net, np.ones((5, 3)))
-        g = nn.backward(net, trace, np.zeros((5, 2)))
-        assert all(np.all(dW == 0) and np.all(db == 0) for dW, db in g.layers)
-        assert np.all(g.wrt_input == 0)
+        flat, wrt = gradients(net, trace, np.zeros((5, 2)))
+        assert np.all(flat == 0)
+        assert np.all(wrt == 0)
 
     def test_matches_finite_differences(self):
         rng = make_rng(7)
@@ -137,9 +137,9 @@ class TestBackward:
             t = rng.random((3, dims[-1]))
             trace = nn.forward(net, x)
             _, dout = mse_loss(trace.output, t)
-            analytic = nn.backward(net, trace, dout)
+            analytic = net.layer_views(gradients(net, trace, dout)[0])
             numeric = finite_difference_grads(net, x, t)
-            for (aW, ab), (nW, nb) in zip(analytic.layers, numeric):
+            for (aW, ab), (nW, nb) in zip(analytic, numeric):
                 assert np.max(np.abs(aW - nW)) < 1e-7 + 1e-4 * np.max(np.abs(nW))
                 assert np.max(np.abs(ab - nb)) < 1e-7 + 1e-4 * np.max(np.abs(nb) + 1e-12)
 
@@ -152,16 +152,16 @@ class TestBackward:
         t = rng.random((B, 1))
         trace = nn.forward(net, x)
         _, dout = mse_loss(trace.output, t)
-        g = nn.backward(net, trace, dout)
+        flat, _ = gradients(net, trace, dout)
         err = trace.output - t
         expected = (2.0 / B) * err.T @ x
-        assert np.allclose(g.layers[0][0], expected, atol=1e-12)
+        assert np.allclose(net.layer_views(flat)[0][0], expected, atol=1e-12)
 
     def test_backward_does_not_mutate(self):
         net = nn.init_network([3, 3], [nn.TANH], seed=2)
         before = net.layers[0].W.copy()
         trace = nn.forward(net, np.ones((2, 3)))
-        nn.backward(net, trace, np.ones((2, 3)))
+        gradients(net, trace, np.ones((2, 3)))
         assert np.array_equal(before, net.layers[0].W)
 
 
@@ -204,7 +204,7 @@ class TestAdam:
             trace = nn.forward(net, X)
             value, dout = mse_loss(trace.output, Y)
             losses.append(value)
-            nn.adam_step(state, net.params, nn.backward(net, trace, dout).flat, lr=0.01)
+            nn.adam_step(state, net.params, gradients(net, trace, dout)[0], lr=0.01)
         tail = np.array(losses[10:])
         assert np.all(np.diff(tail) <= 1e-12)
 
@@ -221,12 +221,12 @@ class TestAdam:
             x, t = rng.random((8, 6)), rng.random((8, 3))
             ref_net = nn.Network([nn.Layer(W, b, act) for W, b, act in zip(ref[::2], ref[1::2], acts)])
             trace = nn.forward(ref_net, x)
-            g_ref = nn.backward(ref_net, trace, mse_loss(trace.output, t)[1])
-            oracle.update(ref, [a for pair in g_ref.layers for a in pair], lr=0.01)
+            g_ref, _ = gradients(ref_net, trace, mse_loss(trace.output, t)[1])
+            oracle.update(ref, [a for pair in ref_net.layer_views(g_ref) for a in pair], lr=0.01)
 
             trace = nn.forward(net, x)
-            g = nn.backward(net, trace, mse_loss(trace.output, t)[1])
-            nn.adam_step(state, net.params, g.flat, lr=0.01)
+            g, _ = gradients(net, trace, mse_loss(trace.output, t)[1])
+            nn.adam_step(state, net.params, g, lr=0.01)
             got = [a for l in net.layers for a in (l.W, l.b)]
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
@@ -247,8 +247,8 @@ class TestParameterBuffer:
 
     @pytest.mark.parametrize("stack", [False, True])
     def test_shared_buffer_steps_equal_per_network_steps(self, stack):
-        # two networks in one buffer, one gradient written per network by
-        # backward's out=, one Adam state: each equals its own update
+        # two networks in one buffer, one gradient written per network into
+        # its span by backward, one Adam state: each equals its own update
         def nets():
             pair = [nn.init_network([6, 5, 4], [nn.TANH, nn.IDENTITY], seed=1),
                     nn.init_network([4, 3], [nn.TANH], seed=2)]
@@ -268,12 +268,11 @@ class TestParameterBuffer:
             for net, span, ref, st in zip(shared, spans, alone, states):
                 trace, ref_trace = nn.forward(net, x), nn.forward(ref, x)
                 d_out = rng.random(trace.output.shape)
-                g = nn.backward(net, trace, d_out, out=grad[..., span])
-                g_ref = nn.backward(ref, ref_trace, d_out)
-                assert np.shares_memory(g.flat, grad)
-                assert np.array_equal(g.flat, g_ref.flat)
-                assert np.array_equal(g.wrt_input, g_ref.wrt_input)
-                nn.adam_step(st, ref.params, g_ref.flat, lr=0.01)
+                wrt = nn.backward(net, trace, d_out, grad[..., span])
+                g_ref, wrt_ref = gradients(ref, ref_trace, d_out)
+                assert np.array_equal(grad[..., span], g_ref)
+                assert np.array_equal(wrt, wrt_ref)
+                nn.adam_step(st, ref.params, g_ref, lr=0.01)
                 x = trace.output
             nn.adam_step(state, buffer, grad, lr=0.01)
             for net, ref in zip(shared, alone):
@@ -333,13 +332,13 @@ class TestStackedNetwork:
         for rows in (8, 1):
             x, d_out = rng.random((rows, 6)), rng.random((rows, 3))
             trace = nn.forward(net, x)
-            g = nn.backward(net, trace, d_out)
+            flat, wrt = gradients(net, trace, d_out)
             layers = [(l.W, l.b, l.activation) for l in net.layers]
             outs, grads, wrt_input = reference_forward_backward(layers, x, d_out)
             assert all(np.array_equal(a, r) for a, r in zip(trace.activations[1:], outs))
-            for (dW, db), (rW, rb) in zip(g.layers, grads):
+            for (dW, db), (rW, rb) in zip(net.layer_views(flat), grads):
                 assert np.array_equal(dW, rW) and np.array_equal(db, rb)
-            assert np.array_equal(g.wrt_input, wrt_input)
+            assert np.array_equal(wrt, wrt_input)
 
     @pytest.mark.parametrize("per_arm", [False, True])
     def test_steps_equal_per_arm_networks(self, per_arm):
@@ -355,17 +354,17 @@ class TestStackedNetwork:
             x = rng.random((3, rows, 6)) if per_arm else rng.random((rows, 6))
             t = rng.random((3, rows, 3))
             trace = nn.forward(stacked, x)
-            g = nn.backward(stacked, trace, trace.output - t)
+            g, wrt = gradients(stacked, trace, trace.output - t)
             for i, net in enumerate(nets):
                 xi = x[i] if per_arm else x
                 trace_i = nn.forward(net, xi)
-                g_i = nn.backward(net, trace_i, trace_i.output - t[i])
+                g_i, wrt_i = gradients(net, trace_i, trace_i.output - t[i])
                 for a, a_i in zip(trace.activations[1:], trace_i.activations[1:]):
                     assert np.array_equal(a[i], a_i)
-                assert np.array_equal(g.flat[i], g_i.flat)
-                assert np.array_equal(g.wrt_input[i], g_i.wrt_input)
-                nn.adam_step(states[i], net.params, g_i.flat, lr=0.01)
-            nn.adam_step(stacked_state, stacked.params, g.flat, lr=0.01)
+                assert np.array_equal(g[i], g_i)
+                assert np.array_equal(wrt[i], wrt_i)
+                nn.adam_step(states[i], net.params, g_i, lr=0.01)
+            nn.adam_step(stacked_state, stacked.params, g, lr=0.01)
             for i, net in enumerate(nets):
                 assert np.array_equal(stacked.params[i], net.params)
 
@@ -375,18 +374,18 @@ class TestStackedNetwork:
         x = make_rng(6).random((7, 6))
         trace = nn.forward(net, x)
         d_out = np.ones_like(trace.output)
-        full = nn.backward(net, trace, d_out)
-        skipped = nn.backward(net, trace, d_out, need_input=False)
-        assert skipped.wrt_input is None
-        assert np.array_equal(full.flat, skipped.flat)
+        full, wrt = gradients(net, trace, d_out)
+        skipped, none = gradients(net, trace, d_out, need_input=False)
+        assert none is None
+        assert np.array_equal(full, skipped)
         # the input gradient itself, against central differences of sum(output)
-        h, numeric = 1e-6, np.zeros(full.wrt_input.shape)
+        h, numeric = 1e-6, np.zeros(wrt.shape)
         for ix in np.ndindex(*x.shape):
             for sign in (1.0, -1.0):
                 xs = x.copy()
                 xs[ix] += sign * h
                 numeric[(..., *ix)] += sign * nn.forward(net, xs).output.sum(axis=(-2, -1)) / (2 * h)
-        assert np.allclose(full.wrt_input, numeric, atol=1e-7)
+        assert np.allclose(wrt, numeric, atol=1e-7)
 
 
 class TestCheckpoint:
